@@ -525,9 +525,9 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
     }
 
     /// Transport + tracing — the combination the historical driver
-    /// matrix never had. Runs the [`transport::run_reliably`] loop with
-    /// a tracer attached and advances the span plan whenever the
-    /// logical-round frontier crosses a phase boundary.
+    /// matrix never had. Runs [`transport::drive`] with a tracer
+    /// attached and advances the span plan whenever the logical-round
+    /// frontier crosses a phase boundary.
     fn run_transport_traced(
         mut self,
         cfg: TransportConfig,
@@ -544,41 +544,14 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             sim.set_adversary(plan);
         }
         sim.set_tracer(EventLog::new());
-        let max_rounds = cfg.round_budget(logical);
         let mut cursor = SpanCursor::new(&self.phases);
         cursor.open_current(&mut sim, 0);
-        while sim.step() {
-            if let Some((v, failure)) = sim
-                .logics()
-                .enumerate()
-                .find_map(|(i, l)| l.failure().map(|f| (i, f)))
-            {
-                return Err(failure.into_error(NodeId::new(v as u32)));
-            }
-            let frontier = sim
-                .logics()
-                .map(Reliable::logical_rounds)
-                .max()
-                .unwrap_or(0);
-            cursor.advance_to(frontier, &mut sim);
-            if sim.logics().all(Reliable::done) {
-                break;
-            }
-            if sim.round() >= max_rounds && !sim.is_quiescent() {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    round: sim.round(),
-                    still_running: sim.running_count(),
-                    in_flight: sim.in_flight_messages(),
-                });
-            }
-        }
+        let logical_rounds =
+            transport::drive(&mut sim, cfg.round_budget(logical), |sim, frontier| {
+                cursor.advance_to(frontier, sim);
+            })?;
         cursor.close(&mut sim);
         let metrics = sim.metrics().clone();
-        let mut logical_rounds = 0;
-        for l in sim.logics() {
-            logical_rounds = logical_rounds.max(l.logical_rounds());
-        }
         let log = sim.take_event_log();
         Ok(Run {
             logics: sim

@@ -212,14 +212,82 @@ struct SentFrame<P> {
     attempts: u32,
 }
 
+/// A link's unacknowledged frames, oldest first: the oldest two inline,
+/// any further ones in a heap spill (see [`Link::unacked`] for when the
+/// spill is needed).
+#[derive(Debug)]
+struct Unacked<P> {
+    inline: [Option<SentFrame<P>>; 2],
+    /// Slot of the oldest frame. The other slot holds the second
+    /// oldest; the spill is empty unless both slots are full.
+    head: usize,
+    spill: VecDeque<SentFrame<P>>,
+}
+
+impl<P> Unacked<P> {
+    fn new() -> Self {
+        Unacked {
+            inline: [None, None],
+            head: 0,
+            spill: VecDeque::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.inline[self.head].is_none()
+    }
+
+    fn len(&self) -> usize {
+        self.inline.iter().flatten().count() + self.spill.len()
+    }
+
+    fn front_mut(&mut self) -> Option<&mut SentFrame<P>> {
+        self.inline[self.head].as_mut()
+    }
+
+    fn back_mut(&mut self) -> Option<&mut SentFrame<P>> {
+        let [a, b] = &mut self.inline;
+        let (oldest, second) = if self.head == 0 { (a, b) } else { (b, a) };
+        self.spill
+            .back_mut()
+            .or(second.as_mut())
+            .or(oldest.as_mut())
+    }
+
+    fn push_back(&mut self, frame: SentFrame<P>) {
+        let second = self.head ^ 1;
+        if self.inline[self.head].is_none() {
+            self.inline[self.head] = Some(frame);
+        } else if self.inline[second].is_none() {
+            self.inline[second] = Some(frame);
+        } else {
+            self.spill.push_back(frame);
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<SentFrame<P>> {
+        let oldest = self.inline[self.head].take()?;
+        // The freed slot takes the third oldest and becomes the second.
+        self.inline[self.head] = self.spill.pop_front();
+        self.head ^= 1;
+        Some(oldest)
+    }
+}
+
 /// Per-neighbor ARQ state.
 #[derive(Debug)]
 struct Link<P> {
     peer: NodeId,
     // --- send side ---
     /// Frames sent (or queued) but not yet cumulatively acked, oldest
-    /// first. Holds at most two entries: adjacent logical rounds.
-    unacked: VecDeque<SentFrame<P>>,
+    /// first. While the peer is live this holds at most two adjacent
+    /// logical rounds: we execute round `r + 1` only with the peer's
+    /// round-`r` frame, which acks everything before our round `r`.
+    /// Once the peer has halted we execute on without waiting for it, so
+    /// frames pile up for as long as its pure acks are lost (depth 4
+    /// measured on the `repair-lossy` benchmark, seed 7) — hence the
+    /// spill.
+    unacked: Unacked<P>,
     /// Highest cumulative ack received from the peer.
     acked: u64,
     /// Current (backed-off) retransmission timeout.
@@ -228,10 +296,14 @@ struct Link<P> {
     /// retransmitted; `u64::MAX` when nothing is outstanding.
     due: u64,
     // --- receive side ---
-    /// In-order bundles not yet consumed by the inner logic; the front
-    /// is sequence `consumed`.
-    ready: VecDeque<Vec<P>>,
-    /// Out-of-order bundles with `seq > recv_next`.
+    /// In-order bundles not yet consumed by the inner logic: sequences
+    /// `consumed..recv_next`, sequence `s` in slot `s % 2`. Only filled
+    /// while our inner logic runs, and then at most two deep: the peer
+    /// executes its round `s` only with our round-`(s - 1)` frame, so it
+    /// is never more than one round ahead of the bundle we consume next.
+    ready: [Vec<P>; 2],
+    /// Out-of-order bundles with `seq > recv_next` (payloads dropped
+    /// once our inner logic has halted).
     ooo: Vec<(u64, Vec<P>)>,
     /// Next in-order sequence expected — also the cumulative ack we send.
     recv_next: u64,
@@ -248,11 +320,11 @@ impl<P> Link<P> {
     fn new(peer: NodeId) -> Self {
         Link {
             peer,
-            unacked: VecDeque::new(),
+            unacked: Unacked::new(),
             acked: 0,
             rto_cur: 0,
             due: u64::MAX,
-            ready: VecDeque::new(),
+            ready: [Vec::new(), Vec::new()],
             ooo: Vec::new(),
             recv_next: 0,
             consumed: 0,
@@ -268,6 +340,34 @@ impl<P> Link<P> {
             && self.peer_halt_seq != u64::MAX
             && self.recv_next > self.peer_halt_seq
     }
+
+    /// The `ready` slot for bundle `recv_next`. Fails fast if the window
+    /// is full, which the bound on [`Link::ready`] rules out.
+    fn next_ready_slot(&mut self) -> &mut Vec<P> {
+        assert!(
+            self.recv_next - self.consumed < 2,
+            "ready window overflow on the link to {}",
+            self.peer
+        );
+        &mut self.ready[(self.recv_next % 2) as usize]
+    }
+}
+
+/// Index of the link to `peer`. Inbox slices and inner sends mostly come
+/// in ascending peer order — the order of `links` — so a forward
+/// `cursor` finds most peers in a step; anything else (jitter-delayed
+/// frames staged ahead of the rest, sends in another order) falls back
+/// to binary search.
+fn find_link<P>(links: &[Link<P>], peer: NodeId, cursor: &mut usize) -> Option<usize> {
+    while links.get(*cursor).is_some_and(|l| l.peer < peer) {
+        *cursor += 1;
+    }
+    if links.get(*cursor).is_some_and(|l| l.peer == peer) {
+        return Some(*cursor);
+    }
+    let pos = links.binary_search_by_key(&peer, |l| l.peer).ok()?;
+    *cursor = pos;
+    Some(pos)
 }
 
 /// Wraps a [`NodeLogic`] in the reliable transport described in the
@@ -288,12 +388,19 @@ pub struct Reliable<L: NodeLogic> {
     /// Next logical round the inner logic will execute.
     local_round: u64,
     inner_halted: bool,
+    /// Earliest [`Link::due`] as of the end of the last round that ran
+    /// the send loop. A halted node with an empty inbox has nothing to
+    /// do before this round.
+    next_due: u64,
     /// Self-addressed inner messages, keyed by sending logical round.
     pending_self: Vec<(u64, Vec<L::Payload>)>,
     failure: Option<DeliveryFailure>,
     /// Recycled buffers for the inner context.
     inner_outbox: Vec<Envelope<L::Payload>>,
     inner_inbox: Vec<Envelope<L::Payload>>,
+    /// Rounds returned early by the idle check (white-box tests).
+    #[cfg(test)]
+    idle_skips: u64,
 }
 
 impl<L: NodeLogic> Reliable<L> {
@@ -312,10 +419,13 @@ impl<L: NodeLogic> Reliable<L> {
             started: false,
             local_round: 0,
             inner_halted: false,
+            next_due: 0,
             pending_self: Vec::new(),
             failure: None,
             inner_outbox: Vec::new(),
             inner_inbox: Vec::new(),
+            #[cfg(test)]
+            idle_skips: 0,
         }
     }
 
@@ -367,7 +477,7 @@ impl<L: NodeLogic> Reliable<L> {
         let prev = r - 1;
         self.links
             .iter()
-            .all(|l| prev > l.peer_halt_seq || (l.consumed == prev && !l.ready.is_empty()))
+            .all(|l| prev > l.peer_halt_seq || (l.consumed == prev && l.recv_next > prev))
     }
 
     /// Reconstructs the synchronous inbox for logical round `r` into
@@ -402,17 +512,16 @@ impl<L: NodeLogic> Reliable<L> {
                     }
                     self_done = true;
                 }
-                let Some(payloads) = link.ready.pop_front() else {
-                    unreachable!("can_execute checked ready is non-empty");
-                };
-                link.consumed += 1;
-                for p in payloads {
-                    self.inner_inbox.push(Envelope {
-                        from: link.peer,
+                debug_assert!(link.recv_next > prev, "can_execute checked ready");
+                let from = link.peer;
+                let slot = &mut link.ready[(prev % 2) as usize];
+                self.inner_inbox
+                    .extend(slot.drain(..).map(|payload| Envelope {
+                        from,
                         to: me,
-                        payload: p,
-                    });
-                }
+                        payload,
+                    }));
+                link.consumed += 1;
             } else if !self_done && me < link.peer {
                 // Still emit self-sends at the right position even when
                 // this link contributes nothing this round.
@@ -449,6 +558,21 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
         ctx: &mut Context<'_, FrameMsg<L::Payload>>,
     ) -> Control {
         let now = ctx.round();
+        // --- Idle: nothing arrived, nothing left to execute and no
+        // timer due, so the scan below would send nothing. O(1) instead
+        // of a walk over every link, every physical round, for each node
+        // that waits for the rest of the network to finish.
+        if inbox.is_empty() && self.inner_halted && now < self.next_due {
+            debug_assert!(
+                self.links.iter().all(|l| !l.need_ack && l.due > now),
+                "idle node skipped a pending send"
+            );
+            #[cfg(test)]
+            {
+                self.idle_skips += 1;
+            }
+            return Control::Continue;
+        }
         let me = ctx.me();
         if !self.started {
             self.started = true;
@@ -457,15 +581,16 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
         debug_assert!(self.failure.is_none(), "failed node was scheduled again");
 
         // --- Receive: acks first, then data, per arriving frame. ---
+        let mut cursor = 0;
         for env in inbox {
-            let Ok(pos) = self.links.binary_search_by_key(&env.from, |l| l.peer) else {
+            let Some(pos) = find_link(&self.links, env.from, &mut cursor) else {
                 debug_assert!(false, "frame from non-neighbor {}", env.from);
                 continue;
             };
             let link = &mut self.links[pos];
             if env.payload.ack > link.acked {
                 link.acked = env.payload.ack;
-                while link.unacked.front().is_some_and(|f| f.seq < link.acked) {
+                while link.unacked.front_mut().is_some_and(|f| f.seq < link.acked) {
                     link.unacked.pop_front();
                 }
                 // Progress: restart the timer at the base timeout.
@@ -476,30 +601,48 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                     now + link.rto_cur
                 };
             }
-            if let Some(data) = &env.payload.data {
-                let duplicate =
-                    data.seq < link.recv_next || link.ooo.iter().any(|(s, _)| *s == data.seq);
-                if duplicate {
-                    ctx.note_duplicate_suppressed();
-                    link.need_ack = true;
+            let Some(data) = &env.payload.data else {
+                continue;
+            };
+            link.need_ack = true;
+            if data.seq < link.recv_next || link.ooo.iter().any(|(s, _)| *s == data.seq) {
+                ctx.note_duplicate_suppressed();
+                continue;
+            }
+            if data.halting {
+                link.peer_halt_seq = data.seq;
+            }
+            // Bundles are buffered only while the inner logic can still
+            // consume them; a halted node just tracks sequence numbers
+            // (for its acks and `done`).
+            let live = !self.inner_halted;
+            if data.seq != link.recv_next {
+                let payloads = if live {
+                    data.payloads.clone()
                 } else {
-                    if data.halting {
-                        link.peer_halt_seq = data.seq;
-                    }
-                    link.ooo.push((data.seq, data.payloads.clone()));
-                    // Drain everything now in order into `ready`.
-                    while let Some(i) = link.ooo.iter().position(|(s, _)| *s == link.recv_next) {
-                        let (_, payloads) = link.ooo.swap_remove(i);
-                        link.ready.push_back(payloads);
-                        link.recv_next += 1;
-                    }
-                    link.need_ack = true;
+                    Vec::new()
+                };
+                link.ooo.push((data.seq, payloads));
+                continue;
+            }
+            // In order: straight into the ready window, then drain
+            // whatever the out-of-order buffer now completes.
+            if live {
+                link.next_ready_slot().extend_from_slice(&data.payloads);
+            }
+            link.recv_next += 1;
+            while let Some(i) = link.ooo.iter().position(|(s, _)| *s == link.recv_next) {
+                let (_, payloads) = link.ooo.swap_remove(i);
+                if live {
+                    *link.next_ready_slot() = payloads;
                 }
+                link.recv_next += 1;
             }
         }
 
         // --- Advance the inner logic by at most one logical round. ---
-        if !self.inner_halted && self.can_execute(self.local_round) {
+        let executed = !self.inner_halted && self.can_execute(self.local_round);
+        if executed {
             let r = self.local_round;
             self.build_inbox(me, r);
             let mut outbox = std::mem::take(&mut self.inner_outbox);
@@ -518,48 +661,51 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
             let control = self.inner.on_round(&inner_inbox, &mut inner_ctx);
             self.inner_halted = control == Control::Halt;
             self.local_round = r + 1;
-            // Split the inner sends into self-deliveries and per-link
-            // bundles; queue one frame per link (delivered empty bundles
-            // are the "round executed" beacon).
-            let mut self_msgs: Vec<L::Payload> = Vec::new();
-            let mut bundles: Vec<Vec<L::Payload>> = self.links.iter().map(|_| Vec::new()).collect();
-            for env in outbox.drain(..) {
-                if env.to == me {
-                    self_msgs.push(env.payload);
-                } else {
-                    let Ok(pos) = self.links.binary_search_by_key(&env.to, |l| l.peer) else {
-                        unreachable!("Context::send only accepts neighbors");
-                    };
-                    bundles[pos].push(env.payload);
-                }
-            }
-            if !self_msgs.is_empty() {
-                self.pending_self.push((r, self_msgs));
-            }
-            for (link, payloads) in self.links.iter_mut().zip(bundles) {
-                debug_assert!(link.unacked.back().is_none_or(|f| f.attempts > 0));
+            // Queue one frame per link (delivered empty bundles are the
+            // "round executed" beacon), then route the inner sends into
+            // those frames, self-deliveries aside.
+            for link in &mut self.links {
                 link.unacked.push_back(SentFrame {
                     seq: r,
                     halting: self.inner_halted,
-                    payloads,
+                    payloads: Vec::new(),
                     attempts: 0,
                 });
+            }
+            let mut self_msgs: Vec<L::Payload> = Vec::new();
+            let mut cursor = 0;
+            for env in outbox.drain(..) {
+                if env.to == me {
+                    self_msgs.push(env.payload);
+                    continue;
+                }
+                let frame = find_link(&self.links, env.to, &mut cursor)
+                    .and_then(|pos| self.links[pos].unacked.back_mut());
+                let Some(frame) = frame else {
+                    unreachable!("Context::send only accepts neighbors, and each got a frame");
+                };
+                frame.payloads.push(env.payload);
+            }
+            if !self_msgs.is_empty() {
+                self.pending_self.push((r, self_msgs));
             }
             self.inner_outbox = outbox;
             self.inner_inbox = inner_inbox;
         }
 
         // --- Send: at most one frame per link per physical round. ---
-        for i in 0..self.links.len() {
-            let link = &mut self.links[i];
+        let mut next_due = u64::MAX;
+        for link in &mut self.links {
             let ack = link.recv_next;
-            // Priority 1: first transmission of a frame created this
-            // round (always the newest entry).
-            if link.unacked.back().is_some_and(|f| f.attempts == 0) {
-                let front_is_new = link.unacked.len() == 1;
+            let peer = link.peer;
+            if executed {
+                // Priority 1: first transmission of the frame created
+                // this round (always the newest entry).
+                let fresh = link.unacked.len() == 1;
                 let Some(frame) = link.unacked.back_mut() else {
-                    unreachable!("just checked the back is non-empty");
+                    unreachable!("a frame was queued on every link this round");
                 };
+                debug_assert_eq!(frame.attempts, 0, "fresh frame already sent");
                 frame.attempts = 1;
                 let msg = FrameMsg {
                     ack,
@@ -569,17 +715,15 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                         payloads: frame.payloads.clone(),
                     }),
                 };
-                if front_is_new {
+                if fresh {
                     link.rto_cur = self.cfg.rto;
                     link.due = now + link.rto_cur;
                 }
                 link.need_ack = false;
-                let peer = link.peer;
                 ctx.send(peer, msg);
-                continue;
-            }
-            // Priority 2: retransmit the oldest unacked frame on timeout.
-            if link.due <= now {
+            } else if link.due <= now {
+                // Priority 2: retransmit the oldest unacked frame on
+                // timeout.
                 let Some(frame) = link.unacked.front_mut() else {
                     unreachable!("due is only finite with unacked frames");
                 };
@@ -588,7 +732,7 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                     // from the network. The runner surfaces this as
                     // `SimError::DeliveryFailed`.
                     self.failure = Some(DeliveryFailure {
-                        to: link.peer,
+                        to: peer,
                         seq: frame.seq,
                         attempts: frame.attempts,
                     });
@@ -607,19 +751,17 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                 link.due = now + link.rto_cur;
                 link.need_ack = false;
                 ctx.note_retransmit();
-                let peer = link.peer;
                 ctx.send(peer, msg);
-                continue;
-            }
-            // Priority 3: a pure ack if data arrived and nothing else
-            // carried the acknowledgment.
-            if link.need_ack {
+            } else if link.need_ack {
+                // Priority 3: a pure ack if data arrived and nothing else
+                // carried the acknowledgment.
                 link.need_ack = false;
                 ctx.note_ack();
-                let peer = link.peer;
                 ctx.send(peer, FrameMsg { ack, data: None });
             }
+            next_due = next_due.min(link.due);
         }
+        self.next_due = next_due;
 
         // --- Termination (see module docs). Only isolated nodes may
         // withdraw on their own: any node with neighbors must stay
@@ -706,22 +848,65 @@ pub fn run_reliably_with<'a, L: NodeLogic>(
     if let Some(plan) = adversary {
         sim.set_adversary(plan);
     }
+    let logical_rounds = drive(&mut sim, max_rounds, |_, _| {})?;
+    let metrics = sim.metrics().clone();
+    Ok(ReliableRun {
+        logics: sim
+            .into_logics()
+            .into_iter()
+            .map(Reliable::into_inner)
+            .collect(),
+        metrics,
+        logical_rounds,
+    })
+}
+
+/// The loop behind every transport run: steps `sim` until all nodes are
+/// [`Reliable::done`], calling `after_step` after each step with the
+/// logical-round frontier (the largest logical round any node has
+/// executed), and returns the final frontier.
+///
+/// Only nodes not yet done are scanned. `done` is monotone, so a done
+/// node leaves the scan for good. A failed node still holds the frame it
+/// could not deliver, so it is never done, and the scan — in id order —
+/// still reports the lowest-id failure.
+///
+/// # Errors
+///
+/// [`SimError::DeliveryFailed`] as soon as any node exhausts a retransmit
+/// budget; [`SimError::RoundLimitExceeded`] past `max_rounds` physical
+/// rounds.
+pub(crate) fn drive<'a, L: NodeLogic>(
+    sim: &mut Simulator<'a, Reliable<L>>,
+    max_rounds: u64,
+    mut after_step: impl FnMut(&mut Simulator<'a, Reliable<L>>, u64),
+) -> Result<u64, SimError> {
+    let mut pending: Vec<NodeId> = sim.topology().graph().nodes().collect();
+    let mut frontier = 0;
     while sim.step() {
-        // Surface a delivery failure immediately: the victim's neighbors
-        // would otherwise wait for its frames until the round limit and
-        // mask the root cause.
-        if let Some((v, failure)) = sim
-            .logics()
-            .enumerate()
-            .find_map(|(i, l)| l.failure().map(|f| (i, f)))
-        {
-            return Err(failure.into_error(NodeId::new(v as u32)));
+        let mut kept = 0;
+        for i in 0..pending.len() {
+            let v = pending[i];
+            let node = sim.logic(v);
+            // Surface a delivery failure immediately: the victim's
+            // neighbors would otherwise wait for its frames until the
+            // round limit and mask the root cause.
+            if let Some(failure) = node.failure() {
+                return Err(failure.into_error(v));
+            }
+            frontier = frontier.max(node.logical_rounds());
+            if !node.done() {
+                pending[kept] = v;
+                kept += 1;
+            }
         }
+        pending.truncate(kept);
+        after_step(sim, frontier);
         // Global termination: every node knows (from received acks and
         // halting frames) that it needs nothing more from the network.
         // Transport nodes stay responsive rather than halting on their
         // own, so this observation is what ends the run.
-        if sim.logics().all(Reliable::done) {
+        if pending.is_empty() {
             break;
         }
         if sim.round() >= max_rounds && !sim.is_quiescent() {
@@ -733,20 +918,7 @@ pub fn run_reliably_with<'a, L: NodeLogic>(
             });
         }
     }
-    let metrics = sim.metrics().clone();
-    let mut logical_rounds = 0;
-    for l in sim.logics() {
-        logical_rounds = logical_rounds.max(l.logical_rounds());
-    }
-    Ok(ReliableRun {
-        logics: sim
-            .into_logics()
-            .into_iter()
-            .map(Reliable::into_inner)
-            .collect(),
-        metrics,
-        logical_rounds,
-    })
+    Ok(frontier)
 }
 
 #[cfg(test)]
@@ -804,11 +976,51 @@ mod tests {
         }
     }
 
-    fn direct_run(g: &ftclust_graphs::Graph, seed: u64, rounds: u64) -> Vec<Recorder> {
+    /// Per-node halting rounds: neighbors halt at different logical
+    /// rounds, so nodes execute past halted peers (filling the unacked
+    /// spill when acks are lost) and finish while others still run (the
+    /// idle early return).
+    fn staggered(v: NodeId) -> u64 {
+        3 + u64::from(v.raw()) % 5
+    }
+
+    fn direct_run(g: &ftclust_graphs::Graph, seed: u64, halt: fn(NodeId) -> u64) -> Vec<Recorder> {
         let topo = Topology::from_graph(g);
-        let mut sim = Simulator::new(topo, |v| Recorder::new(v, rounds), seed);
+        let mut sim = Simulator::new(topo, |v| Recorder::new(v, halt(v)), seed);
         sim.run(100_000).unwrap();
         sim.into_logics()
+    }
+
+    /// A transport run stepped through [`drive`], returning the inner
+    /// states, the metrics and two white-box counts: the deepest
+    /// `unacked` queue seen after any step, and the idle early returns.
+    fn white_box_run(
+        g: &ftclust_graphs::Graph,
+        halt: fn(NodeId) -> u64,
+        p: f64,
+        adversary: Option<AdversaryPlan>,
+    ) -> (Vec<Recorder>, Metrics, usize, u64) {
+        let cfg = TransportConfig::default();
+        let mut sim = Simulator::with_churn(
+            Topology::from_graph(g),
+            |v| Reliable::new(Recorder::new(v, halt(v)), cfg),
+            13,
+            ChurnPlan::none().drop_probability(p),
+        );
+        if let Some(plan) = adversary {
+            sim.set_adversary(plan);
+        }
+        let mut max_unacked = 0;
+        drive(&mut sim, cfg.round_budget(9), |sim, _| {
+            for link in sim.logics().flat_map(|l| &l.links) {
+                max_unacked = max_unacked.max(link.unacked.len());
+            }
+        })
+        .unwrap_or_else(|e| panic!("run at p = {p} failed: {e}"));
+        let metrics = sim.metrics().clone();
+        let idle_skips = sim.logics().map(|l| l.idle_skips).sum();
+        let logics = sim.into_logics().into_iter().map(Reliable::into_inner);
+        (logics.collect(), metrics, max_unacked, idle_skips)
     }
 
     #[test]
@@ -818,7 +1030,7 @@ mod tests {
             (generators::cycle(9), 1),
             (generators::star(6), 5),
         ] {
-            let direct = direct_run(&g, seed, 6);
+            let direct = direct_run(&g, seed, |_| 6);
             let run = run_reliably(
                 Topology::from_graph(&g),
                 |v| Recorder::new(v, 6),
@@ -838,23 +1050,40 @@ mod tests {
     #[test]
     fn lossy_transport_reproduces_direct_run() {
         let g = generators::gnp(20, 0.25, 11);
-        let direct = direct_run(&g, 13, 8);
-        for p in [0.05, 0.2, 0.35] {
-            let run = run_reliably(
-                Topology::from_graph(&g),
-                |v| Recorder::new(v, 8),
-                13,
-                ChurnPlan::none().drop_probability(p),
-                TransportConfig::default(),
-                TransportConfig::default().round_budget(9),
-            )
-            .unwrap_or_else(|e| panic!("run at p = {p} failed: {e}"));
-            assert_eq!(run.logics, direct, "execution diverged at p = {p}");
-            assert!(
-                run.metrics.retransmits > 0,
-                "no retransmissions at p = {p}?"
-            );
+        let jitter_dup = AdversaryPlan::new(5).jitter(0.3, 3).duplicate(0.2);
+        let mut spill_depth = [0; 2];
+        let mut idle_skips = [0; 2];
+        for (s, halt) in [|_| 8, staggered].into_iter().enumerate() {
+            let direct = direct_run(&g, 13, halt);
+            for p in [0.0, 0.05, 0.2, 0.35] {
+                for adversary in [None, Some(jitter_dup.clone())] {
+                    let run = |threads| {
+                        ftclust_par::with_threads(threads, || {
+                            white_box_run(&g, halt, p, adversary.clone())
+                        })
+                    };
+                    let baseline = run(1);
+                    let case = format!("schedule {s}, p = {p}, adversary {adversary:?}");
+                    assert_eq!(baseline.0, direct, "execution diverged: {case}");
+                    if adversary.is_none() {
+                        assert_eq!(baseline.1.retransmits > 0, p > 0.0, "{case}");
+                    }
+                    for threads in [2, 7] {
+                        assert_eq!(run(threads), baseline, "{threads} threads: {case}");
+                    }
+                    spill_depth[s] = spill_depth[s].max(baseline.2);
+                    idle_skips[s] += baseline.3;
+                }
+            }
         }
+        // Only a node that executes past a halted peer needs the unacked
+        // spill: staggered halting does, and idles while others run.
+        assert!(
+            spill_depth[0] <= 2,
+            "spill, no halted peer: {spill_depth:?}"
+        );
+        assert!(spill_depth[1] > 2, "spill never used: {spill_depth:?}");
+        assert!(idle_skips[1] > 0, "never idled: {idle_skips:?}");
     }
 
     #[test]
@@ -863,7 +1092,7 @@ mod tests {
         // shorter than the retransmit horizon, so the protocol stalls,
         // recovers, and finishes with the lossless result.
         let g = generators::path(2);
-        let direct = direct_run(&g, 3, 5);
+        let direct = direct_run(&g, 3, |_| 5);
         let churn = ChurnPlan::none().link_outage(NodeId::new(0), NodeId::new(1), 2..14);
         let run = run_reliably(
             Topology::from_graph(&g),
