@@ -177,8 +177,9 @@ pub(crate) fn part1_invariants(
 /// Audits the transport-transparency guarantee: executing a protocol
 /// over lossy links (`ftclust_netsim::transport`) must produce the exact
 /// output of the lossless execution — loss may stretch physical time and
-/// add retransmissions, never change a result. Called by the `*_lossy`
-/// runners with the lossless reference result.
+/// add retransmissions, never change a result. Called by the
+/// `run_*_stack` runners with the lossless reference result when the
+/// stack engages the transport.
 pub(crate) fn loss_transparent<T: PartialEq + std::fmt::Debug>(
     what: &str,
     lossy: &T,

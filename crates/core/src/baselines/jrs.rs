@@ -48,8 +48,12 @@ pub struct JrsOutcome {
     pub rounds: u64,
 }
 
-/// Runs the JRS-style local randomized greedy baseline. See the
-/// [module docs](self) for the exact variant implemented.
+/// Runs the JRS-style local randomized greedy baseline: each round,
+/// nodes whose span (still-deficient closed neighbors) is at least half
+/// the largest span within two hops become candidates, and a candidate
+/// `u` joins with probability `min(1, max r_v / s_v)` over its deficient
+/// closed neighbors `v` (`r_v` residual demand, `s_v` candidates able to
+/// cover `v`).
 ///
 /// Deterministic given `seed` (per-node random streams).
 pub fn jrs_kmds(inst: &Instance<'_>, semantics: Semantics, seed: u64) -> JrsOutcome {

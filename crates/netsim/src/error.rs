@@ -39,9 +39,9 @@ pub enum SimError {
     /// An asynchronous execution ran out of events with nodes still
     /// waiting for input: message loss (or a synchronizer bug) starved
     /// them of the bundles they need to advance. Raised by
-    /// [`crate::synchronizer::run_asynchronously_lossy`] instead of
-    /// livelocking — see the module docs for why the event-driven
-    /// synchronizer cannot retransmit on its own.
+    /// [`crate::exec::Executor::run_async`] on a lossy stack instead of
+    /// livelocking — see the [`crate::synchronizer`] module docs for why
+    /// the event-driven synchronizer cannot retransmit on its own.
     AsyncStalled {
         /// Nodes that had not halted when the event queue drained.
         stalled: usize,

@@ -1,11 +1,10 @@
 //! Composable protocol executor: one driver for every layer combination.
 //!
 //! Historically every protocol shipped a hand-written driver per layer
-//! combination (`run_*_protocol`, `run_*_lossy`, `run_*_traced`,
-//! `run_*_async`), and the copies drifted: combinations nobody wrote
-//! (lossy **and** traced, churned **and** lossy under trace) simply did
-//! not exist, and shared round arithmetic was duplicated with subtle
-//! differences. The [`Executor`] replaces that matrix with one generic
+//! combination (lossy, traced, asynchronous), and the copies drifted:
+//! combinations nobody wrote (lossy **and** traced, churned **and**
+//! lossy under trace) simply did not exist, and shared round arithmetic
+//! was duplicated with subtle differences. The [`Executor`] replaces that matrix with one generic
 //! driver composed from orthogonal layers, selected by a [`Stack`]:
 //!
 //! * **transport** — wrap every node in [`Reliable`] so message loss and
@@ -37,17 +36,19 @@
 //!
 //! # Parity
 //!
-//! A lossless untraced run executes exactly like [`Simulator::run`]; a
-//! transport run delegates to [`transport::run_reliably`]; a traced
-//! lossless run replays the [`Phase`] plan precisely the way the
-//! historical hand-written traced drivers bracketed their steps. The
-//! previously-missing traced transport combination brackets spans by
-//! the transport's **logical-round frontier** (the largest logical
-//! round any node has completed), so per-phase rollups stay meaningful
-//! even though loss stretches physical time; physical rounds after the
-//! last logical boundary (ack drains, retransmission tails of the
-//! final phase) are attributed to the still-open final span, and a
-//! plan-less traced run records an unspanned log.
+//! [`Executor::run`] has two paths, synchronous and transport; tracing
+//! only attaches an [`EventLog`] and walks the [`Phase`] plan on top of
+//! either. An untraced synchronous run executes exactly like
+//! [`Simulator::run`]; a traced one replays the plan precisely the way
+//! the historical hand-written traced drivers bracketed their steps. A
+//! transport run steps the simulator through the transport's own
+//! termination loop; traced, it brackets spans by the transport's
+//! **logical-round frontier** (the largest logical round any node has
+//! completed), so per-phase rollups stay meaningful even though loss
+//! stretches physical time; physical rounds after the last logical
+//! boundary (ack drains, retransmission tails of the final phase) are
+//! attributed to the still-open final span, and a plan-less traced run
+//! records an unspanned log.
 
 use crate::adversary::AdversaryPlan;
 use crate::churn::ChurnPlan;
@@ -151,7 +152,8 @@ impl Stack {
     /// Engages i.i.d. message loss with probability `p`. For
     /// [`Executor::run`] a positive `p` implies the reliable-transport
     /// layer (with [`TransportConfig::default`] unless
-    /// [`Stack::transport`] picked a policy); for
+    /// [`Stack::transport`] picked a policy) and replaces the loss rate
+    /// of a [`Stack::churned`] plan; `p == 0` leaves that rate alone. For
     /// [`Executor::run_async`] it selects synchronizer bundle loss.
     ///
     /// # Panics
@@ -163,20 +165,14 @@ impl Stack {
             "drop probability must be in [0, 1], got {p}"
         );
         self.drop_probability = p;
-        self.churn = self.churn.drop_probability(p);
         self
     }
 
     /// Engages the churn layer with `plan` (crashes, recoveries, random
-    /// churn, outage windows). A loss probability set earlier via
-    /// [`Stack::lossy`] is re-applied on top of `plan`, so the two
-    /// builder calls compose in either order.
+    /// churn, outage windows). Composes with [`Stack::lossy`] in either
+    /// order.
     pub fn churned(mut self, plan: ChurnPlan) -> Self {
-        self.churn = if self.drop_probability > 0.0 {
-            plan.drop_probability(self.drop_probability)
-        } else {
-            plan
-        };
+        self.churn = plan;
         self.churned = true;
         self
     }
@@ -216,14 +212,15 @@ impl Stack {
         self.traced
     }
 
-    /// The i.i.d. drop probability set via [`Stack::lossy`] (0 if none).
-    pub fn drop_probability(&self) -> f64 {
-        self.drop_probability
-    }
-
-    /// The adversary plan set via [`Stack::adversarial`], if any.
-    pub fn adversary(&self) -> Option<&AdversaryPlan> {
-        self.adversary.as_ref()
+    /// Takes the churn plan a run executes: the [`Stack::churned`] plan,
+    /// with its loss rate replaced by a positive [`Stack::lossy`] rate.
+    fn take_churn(&mut self) -> ChurnPlan {
+        let plan = std::mem::take(&mut self.churn);
+        if self.drop_probability > 0.0 {
+            plan.drop_probability(self.drop_probability)
+        } else {
+            plan
+        }
     }
 }
 
@@ -246,10 +243,9 @@ pub struct Run<L> {
     pub log: Option<EventLog>,
 }
 
-/// The composable protocol executor. Construct with a topology, a
-/// node-logic factory and a master seed, select layers via the
-/// [`Stack`] (or the [`Executor::lossy`] / [`Executor::churned`] /
-/// [`Executor::traced`] / [`Executor::transport`] sugar), attach a span
+/// The composable protocol executor, and the only way to start a
+/// protocol run. Construct with a topology, a node-logic factory and a
+/// master seed, select layers with [`Executor::stack`], attach a span
 /// plan with [`Executor::phases`], and execute with [`Executor::run`]
 /// or [`Executor::run_async`].
 ///
@@ -272,8 +268,7 @@ pub struct Run<L> {
 /// # }
 /// let g = generators::cycle(8);
 /// let run = Executor::new(Topology::from_graph(&g), |_| Node, 7)
-///     .lossy(0.1)
-///     .traced()
+///     .stack(Stack::new().lossy(0.1).traced())
 ///     .run(4)?;
 /// assert!(run.log.is_some());
 /// # Ok::<(), ftclust_netsim::SimError>(())
@@ -315,36 +310,6 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         self
     }
 
-    /// Sugar for [`Stack::lossy`] on the current stack.
-    pub fn lossy(mut self, p: f64) -> Self {
-        self.stack = self.stack.lossy(p);
-        self
-    }
-
-    /// Sugar for [`Stack::churned`] on the current stack.
-    pub fn churned(mut self, plan: ChurnPlan) -> Self {
-        self.stack = self.stack.churned(plan);
-        self
-    }
-
-    /// Sugar for [`Stack::transport`] on the current stack.
-    pub fn transport(mut self, cfg: TransportConfig) -> Self {
-        self.stack = self.stack.transport(cfg);
-        self
-    }
-
-    /// Sugar for [`Stack::traced`] on the current stack.
-    pub fn traced(mut self) -> Self {
-        self.stack = self.stack.traced();
-        self
-    }
-
-    /// Sugar for [`Stack::adversarial`] on the current stack.
-    pub fn adversarial(mut self, plan: AdversaryPlan) -> Self {
-        self.stack = self.stack.adversarial(plan);
-        self
-    }
-
     /// Attaches the declarative span plan used by traced runs (ignored
     /// when tracing is off; an empty plan records an unspanned log).
     pub fn phases(mut self, plan: Vec<Phase>) -> Self {
@@ -373,13 +338,7 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         validate_phases(&self.phases);
         if self.stack.engages_transport() {
             let cfg = self.stack.transport.unwrap_or_default();
-            if self.stack.traced {
-                self.run_transport_traced(cfg, logical_budget)
-            } else {
-                self.run_transport(cfg, logical_budget)
-            }
-        } else if self.stack.traced {
-            self.run_sync_traced(logical_budget)
+            self.run_transport(cfg, logical_budget)
         } else {
             self.run_sync(logical_budget)
         }
@@ -393,7 +352,9 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
     ///
     /// # Errors
     ///
-    /// As [`synchronizer::run_asynchronously_with`].
+    /// [`SimError::AsyncStalled`] when injected loss starves a node of a
+    /// neighbor's round bundle; [`SimError::RoundLimitExceeded`] past
+    /// `max_rounds` local rounds.
     ///
     /// # Panics
     ///
@@ -425,7 +386,7 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             );
             drop_probability = 1.0 - (1.0 - drop_probability) * (1.0 - plan.corrupt_prob());
         }
-        synchronizer::run_asynchronously_with(
+        synchronizer::run(
             self.topo,
             self.make,
             self.seed,
@@ -436,62 +397,23 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         )
     }
 
-    /// Lossless untraced path: exactly `Simulator::run`.
-    fn run_sync(self, budget: u64) -> Result<Run<L>, SimError> {
-        let mut sim = Simulator::with_churn(self.topo, self.make, self.seed, self.stack.churn);
+    /// Synchronous path. Untraced, this is exactly `Simulator::run`;
+    /// traced, it replays the phase plan the way the historical
+    /// hand-written traced drivers bracketed their steps, so the run
+    /// (states *and* metrics) is identical to the untraced one.
+    fn run_sync(mut self, budget: u64) -> Result<Run<L>, SimError> {
+        let churn = self.stack.take_churn();
+        let mut sim = Simulator::with_churn(self.topo, self.make, self.seed, churn);
         if let Some(plan) = self.stack.adversary {
             sim.set_adversary(plan);
         }
-        sim.run(budget)?;
-        let metrics = sim.metrics().clone();
-        let logical_rounds = metrics.rounds;
-        Ok(Run {
-            logics: sim.into_logics(),
-            metrics,
-            logical_rounds,
-            log: None,
-        })
-    }
-
-    /// Lossless traced path: replays the phase plan the way the
-    /// historical hand-written traced drivers bracketed their steps, so
-    /// the run (states *and* metrics) is identical to the untraced one.
-    fn run_sync_traced(self, budget: u64) -> Result<Run<L>, SimError> {
-        let mut sim = Simulator::with_churn(self.topo, self.make, self.seed, self.stack.churn);
-        if let Some(plan) = self.stack.adversary {
-            sim.set_adversary(plan);
+        if self.stack.traced {
+            sim.set_tracer(EventLog::new());
+            replay_phases(&mut sim, &self.phases, budget)?;
         }
-        sim.set_tracer(EventLog::new());
-        for phase in &self.phases {
-            match *phase {
-                Phase::Span { name, arg, rounds } => {
-                    enter(&mut sim, name, arg);
-                    for _ in 0..rounds {
-                        sim.step();
-                    }
-                    exit(&mut sim, name, arg);
-                }
-                Phase::Loop { name, rounds } => {
-                    let mut iter = 0u64;
-                    while !sim.is_quiescent() {
-                        check_budget(&sim, budget)?;
-                        enter(&mut sim, name, Some(iter));
-                        for _ in 0..rounds {
-                            sim.step();
-                        }
-                        exit(&mut sim, name, Some(iter));
-                        iter += 1;
-                    }
-                }
-                Phase::Tail { name } => {
-                    enter(&mut sim, name, None);
-                    sim.run(budget)?;
-                    exit(&mut sim, name, None);
-                }
-            }
-        }
-        // Rounds the plan does not cover (an empty or partial plan) run
-        // to quiescence unspanned; a no-op after a Loop/Tail plan.
+        // Rounds the plan does not cover (an untraced run, an empty or
+        // partial plan) run to quiescence unspanned; a no-op after a
+        // Loop/Tail plan.
         sim.run(budget)?;
         let metrics = sim.metrics().clone();
         let logical_rounds = metrics.rounds;
@@ -504,53 +426,31 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         })
     }
 
-    /// Transport untraced path: delegates to
-    /// [`transport::run_reliably_with`].
-    fn run_transport(self, cfg: TransportConfig, logical: u64) -> Result<Run<L>, SimError> {
-        let run = transport::run_reliably_with(
-            self.topo,
-            self.make,
-            self.seed,
-            self.stack.churn,
-            self.stack.adversary,
-            cfg,
-            cfg.round_budget(logical),
-        )?;
-        Ok(Run {
-            logics: run.logics,
-            metrics: run.metrics,
-            logical_rounds: run.logical_rounds,
-            log: None,
-        })
-    }
-
-    /// Transport + tracing — the combination the historical driver
-    /// matrix never had. Runs [`transport::drive`] with a tracer
-    /// attached and advances the span plan whenever the logical-round
-    /// frontier crosses a phase boundary.
-    fn run_transport_traced(
-        mut self,
-        cfg: TransportConfig,
-        logical: u64,
-    ) -> Result<Run<L>, SimError> {
+    /// Transport path: wraps every node in [`Reliable`] and steps the
+    /// simulator through [`transport::drive`]. Traced, it also advances
+    /// the span plan whenever the logical-round frontier crosses a phase
+    /// boundary.
+    fn run_transport(mut self, cfg: TransportConfig, logical: u64) -> Result<Run<L>, SimError> {
+        let churn = self.stack.take_churn();
         let make = &mut self.make;
-        let mut sim = Simulator::with_churn(
-            self.topo,
-            |v| Reliable::new(make(v), cfg),
-            self.seed,
-            self.stack.churn,
-        );
+        let mut sim =
+            Simulator::with_churn(self.topo, |v| Reliable::new(make(v), cfg), self.seed, churn);
         if let Some(plan) = self.stack.adversary.take() {
             sim.set_adversary(plan);
         }
-        sim.set_tracer(EventLog::new());
-        let mut cursor = SpanCursor::new(&self.phases);
-        cursor.open_current(&mut sim, 0);
-        let logical_rounds =
-            transport::drive(&mut sim, cfg.round_budget(logical), |sim, frontier| {
+        let budget = cfg.round_budget(logical);
+        let logical_rounds = if self.stack.traced {
+            sim.set_tracer(EventLog::new());
+            let mut cursor = SpanCursor::new(&self.phases);
+            cursor.open_current(&mut sim, 0);
+            let rounds = transport::drive(&mut sim, budget, |sim, frontier| {
                 cursor.advance_to(frontier, sim);
             })?;
-        cursor.close(&mut sim);
+            cursor.close(&mut sim);
+            rounds
+        } else {
+            transport::drive(&mut sim, budget, |_, _| {})?
+        };
         let metrics = sim.metrics().clone();
         let log = sim.take_event_log();
         Ok(Run {
@@ -564,6 +464,44 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             log,
         })
     }
+}
+
+/// Walks a [`Phase`] plan on a synchronous simulator, bracketing each
+/// phase's steps in its span.
+fn replay_phases<M: NodeLogic>(
+    sim: &mut Simulator<'_, M>,
+    phases: &[Phase],
+    budget: u64,
+) -> Result<(), SimError> {
+    for phase in phases {
+        match *phase {
+            Phase::Span { name, arg, rounds } => {
+                enter(sim, name, arg);
+                for _ in 0..rounds {
+                    sim.step();
+                }
+                exit(sim, name, arg);
+            }
+            Phase::Loop { name, rounds } => {
+                let mut iter = 0u64;
+                while !sim.is_quiescent() {
+                    check_budget(sim, budget)?;
+                    enter(sim, name, Some(iter));
+                    for _ in 0..rounds {
+                        sim.step();
+                    }
+                    exit(sim, name, Some(iter));
+                    iter += 1;
+                }
+            }
+            Phase::Tail { name } => {
+                enter(sim, name, None);
+                sim.run(budget)?;
+                exit(sim, name, None);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Opens a span; the name comes from a [`Phase`] plan already validated
@@ -876,8 +814,7 @@ mod tests {
             .unwrap();
         for p in [0.0, 0.15] {
             let lossy = Executor::new(Topology::from_graph(&g), flood, 9)
-                .transport(TransportConfig::default())
-                .lossy(p)
+                .stack(Stack::new().transport(TransportConfig::default()).lossy(p))
                 .run(10)
                 .unwrap();
             assert_eq!(lossy.logics, lossless.logics, "p={p}");
@@ -892,8 +829,7 @@ mod tests {
             .run(10)
             .unwrap();
         let run = Executor::new(Topology::from_graph(&g), flood, 2)
-            .lossy(0.2)
-            .traced()
+            .stack(Stack::new().lossy(0.2).traced())
             .run(10)
             .unwrap();
         assert_eq!(run.logics, lossless.logics);
@@ -906,7 +842,7 @@ mod tests {
     fn unregistered_phase_name_is_rejected() {
         let g = generators::cycle(4);
         let _ = Executor::new(Topology::from_graph(&g), flood, 0)
-            .traced()
+            .stack(Stack::new().traced())
             .phases(vec![Phase::span("bogus_phase", 1)])
             .run(10);
     }
@@ -927,7 +863,7 @@ mod tests {
             .run(10)
             .unwrap();
         let (asynced, log) = Executor::new(Topology::from_graph(&g), flood, 4)
-            .traced()
+            .stack(Stack::new().traced())
             .run_async(4, 10)
             .unwrap();
         assert_eq!(asynced.logics, sync.logics);
@@ -939,7 +875,17 @@ mod tests {
     fn async_rejects_transport() {
         let g = generators::cycle(4);
         let _ = Executor::new(Topology::from_graph(&g), flood, 0)
-            .transport(TransportConfig::default())
+            .stack(Stack::new().transport(TransportConfig::default()))
             .run_async(2, 10);
+    }
+
+    #[test]
+    fn lossy_and_churned_compose_in_either_order() {
+        let plan = ChurnPlan::none().drop_probability(0.3);
+        for p in [0.0, 0.1] {
+            let a = Stack::new().churned(plan.clone()).lossy(p);
+            let b = Stack::new().lossy(p).churned(plan.clone());
+            assert_eq!(a, b, "p = {p}");
+        }
     }
 }

@@ -16,12 +16,12 @@
 //!   ([`Context::distance_to`]).
 //!
 //! Protocols implement [`NodeLogic`]; a [`Simulator`] executes one logic
-//! instance per node until all halt. Crash-stop failures and random message
-//! loss are injected via [`FaultPlan`] — the paper's *motivation* is that
-//! k-fold dominating sets tolerate exactly such faults. Live churn (crash
-//! **and recovery** events, seeded-random membership churn, link outage
-//! windows) is injected via [`ChurnPlan`], driving the self-healing repair
-//! protocol in `ftclust-core`. Beyond loss, an [`AdversaryPlan`] injects
+//! instance per node until all halt. Faults are injected via a
+//! [`ChurnPlan`]: crash-stop failures and random message loss — the
+//! paper's *motivation* is that k-fold dominating sets tolerate exactly
+//! such faults — plus recoveries, seeded-random membership churn and link
+//! outage windows, which drive the self-healing repair protocol in
+//! `ftclust-core`. Beyond loss, an [`AdversaryPlan`] injects
 //! the faults real radios produce — reordering delay jitter, frame
 //! duplication, payload corruption, scheduled group partitions — and the
 //! [`monitor`] module measures detection latency and time-to-repair when
@@ -75,7 +75,6 @@
 mod arena;
 mod churn;
 mod error;
-mod fault;
 mod message;
 mod metrics;
 mod node;
@@ -92,7 +91,6 @@ pub mod transport;
 pub use adversary::AdversaryPlan;
 pub use churn::{ChurnEvent, ChurnPlan, RandomChurn};
 pub use error::SimError;
-pub use fault::FaultPlan;
 pub use message::{bits_for_ids, Envelope, Payload};
 pub use metrics::Metrics;
 pub use node::{Context, Control, NodeLogic};

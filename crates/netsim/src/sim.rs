@@ -3,9 +3,7 @@ use crate::arena::{DeliverySorter, InboxArena};
 use crate::metrics::TransportCounters;
 use crate::node::Context;
 use crate::trace::{EventLog, NoopTracer, TraceEvent, Tracer};
-use crate::{
-    ChurnEvent, ChurnPlan, Control, Envelope, FaultPlan, Metrics, NodeLogic, SimError, Topology,
-};
+use crate::{ChurnEvent, ChurnPlan, Control, Envelope, Metrics, NodeLogic, SimError, Topology};
 use ftclust_graphs::NodeId;
 use ftclust_par as par;
 use rand::rngs::StdRng;
@@ -91,7 +89,7 @@ struct StepShard<'t, L: NodeLogic> {
 ///
 /// Node state is struct-of-arrays (`logics` / `rngs` / `running` in
 /// parallel vectors) and inboxes live in a double-buffered contiguous
-/// arena indexed by a CSR-style offset table (see [`crate::arena`]):
+/// arena indexed by a CSR-style offset table (the `arena` module):
 /// the merge phase counting-sorts each round's surviving envelopes by
 /// recipient instead of pushing into per-node `Vec`s, and delivery is
 /// pure slicing. All buffers — the two arenas, the sorter's partition
@@ -167,18 +165,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     ///
     /// `master_seed` drives all node-local randomness via [`node_rng`].
     pub fn new(topo: Topology<'a>, make_logic: impl FnMut(NodeId) -> L, master_seed: u64) -> Self {
-        Self::with_faults(topo, make_logic, master_seed, FaultPlan::none())
-    }
-
-    /// Creates a simulator with crash-stop fault injection (the plan is
-    /// converted to a recovery-free [`ChurnPlan`]).
-    pub fn with_faults(
-        topo: Topology<'a>,
-        make_logic: impl FnMut(NodeId) -> L,
-        master_seed: u64,
-        faults: FaultPlan,
-    ) -> Self {
-        Self::with_churn(topo, make_logic, master_seed, faults.into())
+        Self::with_churn(topo, make_logic, master_seed, ChurnPlan::none())
     }
 
     /// Creates a simulator with live churn injection: scheduled and
@@ -968,8 +955,8 @@ mod tests {
     fn crashed_node_is_silent() {
         let g = generators::path(2);
         let topo = Topology::from_graph(&g);
-        let faults = FaultPlan::none().crash(NodeId::new(1), 0);
-        let mut sim = Simulator::with_faults(
+        let faults = ChurnPlan::none().crash(NodeId::new(1), 0);
+        let mut sim = Simulator::with_churn(
             topo,
             |_| Gossip {
                 heard: vec![],
@@ -984,14 +971,36 @@ mod tests {
     }
 
     #[test]
+    fn earliest_of_repeated_crashes_wins() {
+        // Node 1 is scheduled to crash at round 10 and again at round 4:
+        // it is down from round 4, so it executes rounds 0..=3 only.
+        let g = generators::path(2);
+        let churn = ChurnPlan::none()
+            .crash(NodeId::new(1), 10)
+            .crash(NodeId::new(1), 4);
+        let mut sim = Simulator::with_churn(
+            Topology::from_graph(&g),
+            |_| Counter { seen: 0, rounds: 8 },
+            0,
+            churn,
+        );
+        sim.run(100).unwrap();
+        assert!(sim.is_down(NodeId::new(1)));
+        // Node 0 hears node 1's broadcasts of rounds 0..=3; node 1 hears
+        // node 0's of rounds 0..=2 (the round-3 one arrives after the crash).
+        assert_eq!(sim.logic(NodeId::new(0)).seen, 4);
+        assert_eq!(sim.logic(NodeId::new(1)).seen, 3);
+    }
+
+    #[test]
     fn crash_mid_run_stops_participation() {
         let g = generators::path(2);
         let topo = Topology::from_graph(&g);
         // Node 1 crashes at round 1: its round-0 messages are dead on
         // arrival (receivers crashed at 1 receive them; here node 0 is fine
         // so it receives the round-0 message at round 1).
-        let faults = FaultPlan::none().crash(NodeId::new(1), 1);
-        let mut sim = Simulator::with_faults(
+        let faults = ChurnPlan::none().crash(NodeId::new(1), 1);
+        let mut sim = Simulator::with_churn(
             topo,
             |_| Gossip {
                 heard: vec![],
@@ -1008,8 +1017,8 @@ mod tests {
     fn full_message_loss_blocks_gossip() {
         let g = generators::complete(4);
         let topo = Topology::from_graph(&g);
-        let faults = FaultPlan::none().drop_probability(1.0);
-        let mut sim = Simulator::with_faults(
+        let faults = ChurnPlan::none().drop_probability(1.0);
+        let mut sim = Simulator::with_churn(
             topo,
             |_| Gossip {
                 heard: vec![],
@@ -1066,10 +1075,10 @@ mod tests {
         let run = |threads: usize| {
             ftclust_par::with_threads(threads, || {
                 let topo = Topology::from_graph(&g);
-                let faults = FaultPlan::none()
+                let faults = ChurnPlan::none()
                     .crash(NodeId::new(3), 2)
                     .drop_probability(0.2);
-                let mut sim = Simulator::with_faults(
+                let mut sim = Simulator::with_churn(
                     topo,
                     |_| Gossip {
                         heard: vec![],
@@ -1186,8 +1195,8 @@ mod tests {
         // arrival and the conservation law closes.
         let g = generators::path(2);
         let topo = Topology::from_graph(&g);
-        let faults = FaultPlan::none().crash(NodeId::new(1), 1);
-        let mut sim = Simulator::with_faults(topo, |_| Counter { seen: 0, rounds: 5 }, 0, faults);
+        let faults = ChurnPlan::none().crash(NodeId::new(1), 1);
+        let mut sim = Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 5 }, 0, faults);
         sim.run(100).unwrap();
         let m = sim.metrics().clone();
         assert_eq!(m.messages, 6);
@@ -1338,11 +1347,11 @@ mod tests {
         let g = generators::gnp(20, 0.3, 3);
         let run = |traced: bool| {
             let topo = Topology::from_graph(&g);
-            let faults = FaultPlan::none()
+            let faults = ChurnPlan::none()
                 .crash(NodeId::new(2), 1)
                 .drop_probability(0.2);
             let mut sim =
-                Simulator::with_faults(topo, |_| Counter { seen: 0, rounds: 5 }, 4, faults);
+                Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 5 }, 4, faults);
             if traced {
                 sim.set_tracer(EventLog::new());
             }

@@ -18,14 +18,15 @@
 //! Because each node sees exactly the same per-round inbox as in the
 //! synchronous execution, the final protocol states are **identical** to a
 //! synchronous run with the same master seed — the tests assert this
-//! bit-for-bit.
+//! bit-for-bit. Start an asynchronous run with
+//! [`Executor::run_async`](crate::exec::Executor::run_async).
 //!
 //! # Why this module stays single-threaded
 //!
 //! Unlike [`crate::Simulator`] (whose rounds are data-parallel over nodes,
 //! see `DESIGN.md` §7), the synchronizer is an **event-driven** executor:
-//! each [`AsyncExec::try_advance`] draws per-bundle delays from the single
-//! shared `delay_rng` stream and pushes arrivals tagged with a global
+//! each `AsyncExec::try_advance` call draws per-bundle delays from the
+//! single shared `delay_rng` stream and pushes arrivals tagged with a global
 //! sequence number, and which node advances next *depends on* those draws.
 //! Batching independent `try_advance` calls across threads would reorder
 //! the shared stream and change every delay — breaking the determinism
@@ -45,8 +46,8 @@
 //! bundle was lost could never be scheduled. Loss tolerance therefore
 //! lives under the round-driven [`crate::Simulator`] (which ticks whether
 //! or not messages arrive), and the asynchronous executor **fails fast**
-//! instead of livelocking: [`run_asynchronously_lossy`] detects the drained
-//! queue and returns [`SimError::AsyncStalled`] naming the starved nodes
+//! instead of livelocking: a lossy run detects the drained queue and
+//! returns [`SimError::AsyncStalled`] naming the starved nodes
 //! and the number of lost bundles. Because bundles are all-or-nothing, a
 //! lossy run that *does* complete saw every inbox it needed and its result
 //! is identical to the synchronous execution — loss can stall the
@@ -70,14 +71,15 @@ pub struct AsyncStats {
     pub ticks: u64,
     /// Bundles sent (each bundle is one wire message of the synchronizer).
     pub bundles: u64,
-    /// Bundles lost to injected message loss (always 0 for
-    /// [`run_asynchronously`]; see [`run_asynchronously_lossy`]).
+    /// Bundles lost to injected message loss or corruption (always 0 on
+    /// a loss-free stack).
     pub dropped_bundles: u64,
     /// The largest local round any node executed.
     pub max_local_round: u64,
 }
 
-/// Result of [`run_asynchronously`]: final protocol states plus statistics.
+/// Result of [`Executor::run_async`](crate::exec::Executor::run_async):
+/// final protocol states plus statistics.
 #[derive(Debug)]
 pub struct AsyncRun<L> {
     /// Final protocol state per node, in id order.
@@ -305,156 +307,29 @@ impl<'a, L: NodeLogic> AsyncExec<'a, L> {
 /// Executes the synchronous protocol built by `make_logic` on an
 /// asynchronous network where every message is delayed by a uniform random
 /// number of ticks in `1..=max_delay`, using the synchronizer described in
-/// the [module docs](self).
-///
-/// The returned protocol states equal those of a synchronous
-/// [`crate::Simulator`] run with the same `master_seed`.
-///
-/// # Errors
-///
-/// Returns [`SimError::RoundLimitExceeded`] if any node would exceed
-/// `max_rounds` local rounds.
-///
-/// # Panics
-///
-/// Panics if `max_delay == 0`.
-pub fn run_asynchronously<L: NodeLogic>(
-    topo: Topology<'_>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    max_delay: u64,
-    max_rounds: u64,
-) -> Result<AsyncRun<L>, SimError> {
-    run_async_impl(
-        topo,
-        make_logic,
-        master_seed,
-        max_delay,
-        max_rounds,
-        0.0,
-        false,
-    )
-    .map(|(run, _)| run)
-}
-
-/// [`run_asynchronously`] with a recorded [`EventLog`]: every local round
-/// executed at a node becomes a
+/// the [module docs](self). Each bundle is discarded in flight with
+/// probability `drop_probability`, drawn from a dedicated stream, so a
+/// zero rate reproduces the loss-free run bit for bit. With `traced`,
+/// every local round executed at a node becomes a
 /// [`TraceEvent::SynchronizerPulse`] stamped with the global delivery
-/// tick. The pulse stream is deterministic for a given seed (the
-/// executor is sequential), so traced asynchronous runs diff cleanly.
+/// tick; the returned log is `Some` iff `traced` is set.
 ///
-/// # Errors
-///
-/// As [`run_asynchronously`].
-///
-/// # Panics
-///
-/// Panics if `max_delay == 0`.
-pub fn run_asynchronously_traced<L: NodeLogic>(
-    // lint: driver-drift — α-synchronizer wrapper predating the stack; delegates to run_async_impl
-    topo: Topology<'_>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    max_delay: u64,
-    max_rounds: u64,
-) -> Result<(AsyncRun<L>, EventLog), SimError> {
-    run_async_impl(
-        topo,
-        make_logic,
-        master_seed,
-        max_delay,
-        max_rounds,
-        0.0,
-        true,
-    )
-    .map(|(run, log)| (run, log.unwrap_or_default()))
-}
-
-/// [`run_asynchronously`] with i.i.d. bundle loss: each bundle is
-/// discarded in flight with probability `drop_probability` (drawn from a
-/// dedicated stream, so `drop_probability == 0.0` reproduces
-/// [`run_asynchronously`] bit for bit).
-///
-/// The synchronizer itself does not retransmit — see the [module
-/// docs](self#message-loss) for why it *cannot* host the timer-driven
-/// [`crate::transport`] layer. A run that completes is exactly the
-/// synchronous execution; a run starved by loss **fails fast** with
-/// [`SimError::AsyncStalled`] instead of livelocking.
+/// A completed run's protocol states equal those of a synchronous
+/// [`crate::Simulator`] run with the same `master_seed`. Called by
+/// [`crate::exec::Executor::run_async`]; [`crate::exec::Stack::lossy`]
+/// has already checked that the loss rate lies in `[0, 1]`.
 ///
 /// # Errors
 ///
 /// [`SimError::AsyncStalled`] if the event queue drains while nodes are
-/// still waiting for lost bundles; [`SimError::RoundLimitExceeded`] as in
-/// [`run_asynchronously`].
+/// still waiting for lost bundles; [`SimError::RoundLimitExceeded`] if any
+/// node would exceed `max_rounds` local rounds.
 ///
 /// # Panics
 ///
-/// Panics if `max_delay == 0` or `drop_probability` is not in `[0, 1]`.
-pub fn run_asynchronously_lossy<L: NodeLogic>(
-    // lint: driver-drift — α-synchronizer wrapper predating the stack; delegates to run_async_impl
-    topo: Topology<'_>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    max_delay: u64,
-    max_rounds: u64,
-    drop_probability: f64,
-) -> Result<AsyncRun<L>, SimError> {
-    assert!(
-        (0.0..=1.0).contains(&drop_probability),
-        "drop probability must be in [0, 1], got {drop_probability}"
-    );
-    run_async_impl(
-        topo,
-        make_logic,
-        master_seed,
-        max_delay,
-        max_rounds,
-        drop_probability,
-        false,
-    )
-    .map(|(run, _)| run)
-}
-
-/// The fully-composed asynchronous entry point used by
-/// [`crate::exec::Executor::run_async`]: [`run_asynchronously`] with any
-/// combination of i.i.d. bundle loss (see [`run_asynchronously_lossy`])
-/// and trace recording (see [`run_asynchronously_traced`]). The
-/// returned log is `Some` iff `traced` is set.
-///
-/// # Errors
-///
-/// As [`run_asynchronously_lossy`].
-///
-/// # Panics
-///
-/// Panics if `max_delay == 0` or `drop_probability` is not in `[0, 1]`.
+/// Panics if `max_delay == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn run_asynchronously_with<L: NodeLogic>(
-    topo: Topology<'_>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    max_delay: u64,
-    max_rounds: u64,
-    drop_probability: f64,
-    traced: bool,
-) -> Result<(AsyncRun<L>, Option<EventLog>), SimError> {
-    assert!(
-        (0.0..=1.0).contains(&drop_probability),
-        "drop probability must be in [0, 1], got {drop_probability}"
-    );
-    run_async_impl(
-        topo,
-        make_logic,
-        master_seed,
-        max_delay,
-        max_rounds,
-        drop_probability,
-        traced,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_async_impl<L: NodeLogic>(
+pub(crate) fn run<L: NodeLogic>(
     topo: Topology<'_>,
     mut make_logic: impl FnMut(NodeId) -> L,
     master_seed: u64,
@@ -546,6 +421,7 @@ fn run_async_impl<L: NodeLogic>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{Executor, Stack};
     use crate::{bits_for_ids, Payload, Simulator};
     use ftclust_graphs::generators;
 
@@ -597,6 +473,25 @@ mod tests {
         sim.logics().cloned().collect()
     }
 
+    /// An asynchronous run of `Flood`s halting at `rounds`, started
+    /// through the executor like every caller's.
+    fn async_run(
+        g: &ftclust_graphs::Graph,
+        seed: u64,
+        rounds: u64,
+        max_delay: u64,
+        stack: Stack,
+    ) -> Result<(AsyncRun<Flood>, Option<EventLog>), SimError> {
+        let make = |v: NodeId| Flood {
+            best: v.raw() as u64,
+            draws: vec![],
+            rounds,
+        };
+        Executor::new(Topology::from_graph(g), make, seed)
+            .stack(stack)
+            .run_async(max_delay, 10_000)
+    }
+
     #[test]
     fn async_run_equals_sync_run() {
         for (g, seed) in [
@@ -605,23 +500,13 @@ mod tests {
             (generators::star(6), 3),
         ] {
             let sync = sync_run(&g, seed, 6);
-            let topo = Topology::from_graph(&g);
-            let run = run_asynchronously(
-                topo,
-                |v| Flood {
-                    best: v.raw() as u64,
-                    draws: vec![],
-                    rounds: 6,
-                },
-                seed,
-                7, // delays up to 7 ticks
-                10_000,
-            )
-            .unwrap();
+            // Delays up to 7 ticks.
+            let (run, log) = async_run(&g, seed, 6, 7, Stack::new()).unwrap();
             assert_eq!(
                 run.logics, sync,
                 "async execution diverged from synchronous"
             );
+            assert!(log.is_none());
             assert!(run.stats.bundles > 0);
             assert_eq!(run.stats.max_local_round, 6);
         }
@@ -631,35 +516,12 @@ mod tests {
     fn traced_async_run_records_deterministic_pulses() {
         let g = generators::cycle(7);
         let run_traced = || {
-            let topo = Topology::from_graph(&g);
-            run_asynchronously_traced(
-                topo,
-                |v| Flood {
-                    best: v.raw() as u64,
-                    draws: vec![],
-                    rounds: 4,
-                },
-                5,
-                3,
-                10_000,
-            )
-            .unwrap()
+            let (run, log) = async_run(&g, 5, 4, 3, Stack::new().traced()).unwrap();
+            (run, log.expect("traced run records a log"))
         };
         let (run, log) = run_traced();
         // Tracing must not perturb execution.
-        let topo = Topology::from_graph(&g);
-        let untraced = run_asynchronously(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 4,
-            },
-            5,
-            3,
-            10_000,
-        )
-        .unwrap();
+        let (untraced, _) = async_run(&g, 5, 4, 3, Stack::new()).unwrap();
         assert_eq!(run.logics, untraced.logics);
         // Every local round of every node pulses exactly once: 7 nodes
         // x rounds 0..=4.
@@ -679,31 +541,8 @@ mod tests {
     #[test]
     fn async_run_is_deterministic() {
         let g = generators::gnp(20, 0.25, 9);
-        let topo = Topology::from_graph(&g);
-        let a = run_asynchronously(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 4,
-            },
-            5,
-            5,
-            1_000,
-        )
-        .unwrap();
-        let b = run_asynchronously(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 4,
-            },
-            5,
-            5,
-            1_000,
-        )
-        .unwrap();
+        let (a, _) = async_run(&g, 5, 4, 5, Stack::new()).unwrap();
+        let (b, _) = async_run(&g, 5, 4, 5, Stack::new()).unwrap();
         assert_eq!(a.logics, b.logics);
         assert_eq!(a.stats, b.stats);
     }
@@ -720,22 +559,17 @@ mod tests {
             }
         }
         let g = generators::path(3);
-        let topo = Topology::from_graph(&g);
-        let err = run_asynchronously(topo, |_| Forever, 0, 2, 5).unwrap_err();
+        let err = Executor::new(Topology::from_graph(&g), |_| Forever, 0)
+            .run_async(2, 5)
+            .unwrap_err();
         assert!(matches!(err, SimError::RoundLimitExceeded { limit: 5, .. }));
     }
 
     #[test]
     fn lossy_with_zero_probability_matches_lossless() {
         let g = generators::gnp(18, 0.3, 4);
-        let topo = Topology::from_graph(&g);
-        let make = |v: NodeId| Flood {
-            best: v.raw() as u64,
-            draws: vec![],
-            rounds: 5,
-        };
-        let a = run_asynchronously(topo, make, 11, 4, 1_000).unwrap();
-        let b = run_asynchronously_lossy(topo, make, 11, 4, 1_000, 0.0).unwrap();
+        let (a, _) = async_run(&g, 11, 5, 4, Stack::new()).unwrap();
+        let (b, _) = async_run(&g, 11, 5, 4, Stack::new().lossy(0.0)).unwrap();
         assert_eq!(a.logics, b.logics);
         assert_eq!(a.stats, b.stats);
         assert_eq!(b.stats.dropped_bundles, 0);
@@ -753,21 +587,8 @@ mod tests {
         for seed in 0..12u64 {
             let g = generators::gnp(14, 0.3, seed);
             let sync = sync_run(&g, seed, 5);
-            let topo = Topology::from_graph(&g);
-            let out = run_asynchronously_lossy(
-                topo,
-                |v| Flood {
-                    best: v.raw() as u64,
-                    draws: vec![],
-                    rounds: 5,
-                },
-                seed,
-                4,
-                10_000,
-                0.25,
-            );
-            match out {
-                Ok(run) => {
+            match async_run(&g, seed, 5, 4, Stack::new().lossy(0.25)) {
+                Ok((run, _)) => {
                     completions += 1;
                     assert_eq!(
                         run.logics, sync,
@@ -799,16 +620,10 @@ mod tests {
     #[test]
     fn lossy_run_is_deterministic() {
         let g = generators::gnp(16, 0.25, 2);
-        let topo = Topology::from_graph(&g);
-        let make = |v: NodeId| Flood {
-            best: v.raw() as u64,
-            draws: vec![],
-            rounds: 4,
-        };
-        let a = run_asynchronously_lossy(topo, make, 3, 5, 10_000, 0.2);
-        let b = run_asynchronously_lossy(topo, make, 3, 5, 10_000, 0.2);
+        let a = async_run(&g, 3, 4, 5, Stack::new().lossy(0.2));
+        let b = async_run(&g, 3, 4, 5, Stack::new().lossy(0.2));
         match (a, b) {
-            (Ok(x), Ok(y)) => {
+            (Ok((x, _)), Ok((y, _))) => {
                 assert_eq!(x.logics, y.logics);
                 assert_eq!(x.stats, y.stats);
             }
@@ -820,38 +635,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "drop probability")]
     fn invalid_drop_probability_panics() {
-        let g = generators::path(2);
-        let topo = Topology::from_graph(&g);
-        let _ = run_asynchronously_lossy(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 1,
-            },
-            0,
-            1,
-            10,
-            1.5,
-        );
+        let _ = async_run(&generators::path(2), 0, 1, 1, Stack::new().lossy(1.5));
     }
 
     #[test]
     fn isolated_nodes_run_alone() {
         let g = generators::empty(3);
-        let topo = Topology::from_graph(&g);
-        let run = run_asynchronously(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 2,
-            },
-            0,
-            3,
-            100,
-        )
-        .unwrap();
+        let (run, _) = async_run(&g, 0, 2, 3, Stack::new()).unwrap();
         assert_eq!(run.logics.len(), 3);
         for l in &run.logics {
             assert_eq!(l.draws.len(), 3); // rounds 0, 1, 2

@@ -1,6 +1,6 @@
 //! Deterministic structured tracing: typed events, phase spans, exporters.
 //!
-//! The simulator's aggregate [`Metrics`](crate::Metrics) answer *how much*
+//! The simulator's aggregate [`Metrics`] answer *how much*
 //! a run cost; this module answers *where* the cost went. A [`Tracer`]
 //! attached to a [`Simulator`](crate::Simulator) receives a stream of
 //! typed [`TraceEvent`]s stamped with **logical time only** (the CONGEST

@@ -22,7 +22,7 @@
 //!   [`TransportConfig::backoff_cap`]),
 //! * a frame that stays unacknowledged after
 //!   [`TransportConfig::max_retransmits`] retransmissions is a **delivery
-//!   failure**: the node halts and [`run_reliably`] surfaces
+//!   failure**: the node halts and the run surfaces
 //!   [`SimError::DeliveryFailed`] naming the link, the sequence number
 //!   and the attempt count — loss beyond the budget is an error, never a
 //!   silent wrong answer.
@@ -55,8 +55,9 @@
 //! neighbor's halting frame has been received — all facts it *knows*
 //! from received frames, never inferred from timeouts — but it stays in
 //! the network, re-acknowledging retransmissions indefinitely (only
-//! isolated nodes halt on their own). [`run_reliably`], which observes
-//! every node, stops the simulation once **all** nodes are done: global
+//! isolated nodes halt on their own). The transport path of
+//! [`Executor::run`](crate::exec::Executor::run), which observes every
+//! node, stops the simulation once **all** nodes are done: global
 //! knowledge that no protocol frame can still be needed. A frame
 //! therefore fails only when its retransmit budget is genuinely
 //! exhausted — reported as a (deterministic, seeded)
@@ -78,10 +79,7 @@
 //! a [`Reliable`] one without loss) behaves exactly as before — the
 //! transport is pure opt-in.
 
-use crate::{
-    bits_for_ids, AdversaryPlan, ChurnPlan, Context, Control, Envelope, Metrics, NodeLogic,
-    Payload, SimError, Simulator, Topology,
-};
+use crate::{bits_for_ids, Context, Control, Envelope, NodeLogic, Payload, SimError, Simulator};
 use ftclust_graphs::NodeId;
 use std::collections::VecDeque;
 
@@ -159,8 +157,9 @@ impl TransportConfig {
     /// A generous physical-round ceiling for a protocol that runs
     /// `logical_rounds` inner rounds: every round may wait out a full
     /// retransmission budget. Actual lossy runs finish in a small
-    /// multiple of `logical_rounds`; this is the diagnostic limit to
-    /// pass to [`run_reliably`].
+    /// multiple of `logical_rounds`; this is the diagnostic limit that
+    /// [`Executor::run`](crate::exec::Executor::run) derives from a
+    /// protocol's logical budget.
     pub fn round_budget(&self, logical_rounds: u64) -> u64 {
         logical_rounds
             .saturating_mul(u64::from(self.max_retransmits) + 1)
@@ -374,8 +373,16 @@ fn find_link<P>(links: &[Link<P>], peer: NodeId, cursor: &mut usize) -> Option<u
 /// [module docs](self). `Reliable<L>` is itself a `NodeLogic` over
 /// [`FrameMsg`] frames, so it runs on the ordinary [`crate::Simulator`]
 /// — but connected nodes never halt on their own (see the module docs
-/// on termination), so drive the simulator with [`run_reliably`], or
-/// step it manually and stop once every node reports [`Reliable::done`].
+/// on termination), so run it through
+/// [`Executor::run`](crate::exec::Executor::run) with a transport
+/// [`Stack`](crate::exec::Stack), or step it manually and stop once
+/// every node reports [`Reliable::done`].
+///
+/// The transport masks **message** loss (drops, outage windows) and the
+/// adversary's corruption, duplication and jitter; it does not mask
+/// *node* crashes — a frame addressed to a crashed node that never
+/// recovers exhausts its budget and fails. Run crash-tolerant protocols
+/// on the surviving topology instead (see `ftclust_core::repair`).
 #[derive(Debug)]
 pub struct Reliable<L: NodeLogic> {
     inner: L,
@@ -461,8 +468,8 @@ impl<L: NodeLogic> Reliable<L> {
     /// received frames — never inferred from timeouts — so `done` can
     /// never falsely turn true. A done node keeps re-acknowledging peer
     /// retransmissions until the whole run stops (see the module docs on
-    /// termination); [`run_reliably`] ends the simulation once every
-    /// node is done.
+    /// termination); [`Executor::run`](crate::exec::Executor::run) ends the
+    /// simulation once every node is done.
     pub fn done(&self) -> bool {
         self.inner_halted && self.links.iter().all(Link::closed)
     }
@@ -776,91 +783,6 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
     }
 }
 
-/// Result of [`run_reliably`]: the unwrapped inner states plus metrics.
-#[derive(Debug)]
-pub struct ReliableRun<L> {
-    /// Final inner protocol state per node, in id order — identical to
-    /// the states a lossless run produces.
-    pub logics: Vec<L>,
-    /// Communication metrics of the physical execution, including the
-    /// transport counters.
-    pub metrics: Metrics,
-    /// The largest logical round any node executed.
-    pub logical_rounds: u64,
-}
-
-/// Executes the protocol built by `make_logic` over lossy links: every
-/// node is wrapped in [`Reliable`] with the given policy and run on a
-/// [`Simulator`] under `churn`. On success the returned states are
-/// bit-for-bit those of a lossless run with the same `master_seed`.
-///
-/// The transport masks **message** loss (drops, outage windows); it does
-/// not mask *node* crashes — a frame addressed to a crashed node that
-/// never recovers exhausts its budget and fails. Run crash-tolerant
-/// protocols on the surviving topology instead (see
-/// `ftclust_core::repair`).
-///
-/// # Errors
-///
-/// [`SimError::DeliveryFailed`] as soon as any node exhausts a retransmit
-/// budget; [`SimError::RoundLimitExceeded`] if the run outlives
-/// `max_rounds` physical rounds (see
-/// [`TransportConfig::round_budget`]).
-pub fn run_reliably<'a, L: NodeLogic>(
-    topo: Topology<'a>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    churn: ChurnPlan,
-    cfg: TransportConfig,
-    max_rounds: u64,
-) -> Result<ReliableRun<L>, SimError> {
-    run_reliably_with(topo, make_logic, master_seed, churn, None, cfg, max_rounds)
-}
-
-/// [`run_reliably`] with an optional adversarial delivery layer (see
-/// [`crate::adversary`]) underneath the transport. The ARQ machinery is
-/// exactly what the adversary's faults exercise: corruption is erased by
-/// the frame checksum and retransmitted like loss, network duplicates are
-/// suppressed by the per-link sequence numbers (counted in
-/// [`Metrics::net_duplicated`]), delay jitter is absorbed by the
-/// out-of-order buffer and cumulative acks, and a partition outliving the
-/// retransmit budget surfaces [`SimError::DeliveryFailed`] naming the cut
-/// link — never a hang.
-///
-/// # Errors
-///
-/// As [`run_reliably`].
-pub fn run_reliably_with<'a, L: NodeLogic>(
-    topo: Topology<'a>,
-    mut make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    churn: ChurnPlan,
-    adversary: Option<AdversaryPlan>,
-    cfg: TransportConfig,
-    max_rounds: u64,
-) -> Result<ReliableRun<L>, SimError> {
-    let mut sim = Simulator::with_churn(
-        topo,
-        |v| Reliable::new(make_logic(v), cfg),
-        master_seed,
-        churn,
-    );
-    if let Some(plan) = adversary {
-        sim.set_adversary(plan);
-    }
-    let logical_rounds = drive(&mut sim, max_rounds, |_, _| {})?;
-    let metrics = sim.metrics().clone();
-    Ok(ReliableRun {
-        logics: sim
-            .into_logics()
-            .into_iter()
-            .map(Reliable::into_inner)
-            .collect(),
-        metrics,
-        logical_rounds,
-    })
-}
-
 /// The loop behind every transport run: steps `sim` until all nodes are
 /// [`Reliable::done`], calling `after_step` after each step with the
 /// logical-round frontier (the largest logical round any node has
@@ -924,6 +846,8 @@ pub(crate) fn drive<'a, L: NodeLogic>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{Executor, Run, Stack};
+    use crate::{AdversaryPlan, ChurnPlan, Metrics, Topology};
     use ftclust_graphs::generators;
     use rand::Rng;
 
@@ -991,6 +915,19 @@ mod tests {
         sim.into_logics()
     }
 
+    /// A transport run of `Recorder`s halting at `rounds`, started the
+    /// way every caller starts one: through the executor.
+    fn reliable_run(
+        g: &ftclust_graphs::Graph,
+        rounds: u64,
+        seed: u64,
+        stack: Stack,
+    ) -> Result<Run<Recorder>, SimError> {
+        Executor::new(Topology::from_graph(g), |v| Recorder::new(v, rounds), seed)
+            .stack(stack)
+            .run(rounds + 1)
+    }
+
     /// A transport run stepped through [`drive`], returning the inner
     /// states, the metrics and two white-box counts: the deepest
     /// `unacked` queue seen after any step, and the idle early returns.
@@ -1031,15 +968,8 @@ mod tests {
             (generators::star(6), 5),
         ] {
             let direct = direct_run(&g, seed, |_| 6);
-            let run = run_reliably(
-                Topology::from_graph(&g),
-                |v| Recorder::new(v, 6),
-                seed,
-                ChurnPlan::none(),
-                TransportConfig::default(),
-                100_000,
-            )
-            .unwrap();
+            let stack = Stack::new().transport(TransportConfig::default());
+            let run = reliable_run(&g, 6, seed, stack).unwrap();
             assert_eq!(run.logics, direct, "lossless transport diverged");
             assert_eq!(run.logical_rounds, 7); // rounds 0..=6 executed
             assert_eq!(run.metrics.retransmits, 0, "spurious retransmit at p = 0");
@@ -1094,15 +1024,8 @@ mod tests {
         let g = generators::path(2);
         let direct = direct_run(&g, 3, |_| 5);
         let churn = ChurnPlan::none().link_outage(NodeId::new(0), NodeId::new(1), 2..14);
-        let run = run_reliably(
-            Topology::from_graph(&g),
-            |v| Recorder::new(v, 5),
-            3,
-            churn,
-            TransportConfig::default(),
-            10_000,
-        )
-        .unwrap();
+        let stack = Stack::new().transport(TransportConfig::default());
+        let run = reliable_run(&g, 5, 3, stack.churned(churn)).unwrap();
         assert_eq!(run.logics, direct);
         assert!(run.metrics.retransmits > 0);
         assert!(run.metrics.dropped_messages > 0);
@@ -1116,15 +1039,7 @@ mod tests {
             backoff_cap: 4,
             max_retransmits: 3,
         };
-        let err = run_reliably(
-            Topology::from_graph(&g),
-            |v| Recorder::new(v, 5),
-            0,
-            ChurnPlan::none().drop_probability(1.0),
-            cfg,
-            10_000,
-        )
-        .unwrap_err();
+        let err = reliable_run(&g, 5, 0, Stack::new().transport(cfg).lossy(1.0)).unwrap_err();
         match err {
             SimError::DeliveryFailed { attempts, .. } => {
                 assert_eq!(attempts, cfg.max_retransmits + 1);
@@ -1169,15 +1084,7 @@ mod tests {
         let g = generators::gnp(30, 0.2, 17);
         let run = |threads: usize| {
             ftclust_par::with_threads(threads, || {
-                let out = run_reliably(
-                    Topology::from_graph(&g),
-                    |v| Recorder::new(v, 7),
-                    23,
-                    ChurnPlan::none().drop_probability(0.15),
-                    TransportConfig::default(),
-                    100_000,
-                )
-                .unwrap();
+                let out = reliable_run(&g, 7, 23, Stack::new().lossy(0.15)).unwrap();
                 (out.logics, out.metrics, out.logical_rounds)
             })
         };
@@ -1207,15 +1114,8 @@ mod tests {
     #[test]
     fn isolated_nodes_need_no_handshake() {
         let g = generators::empty(3);
-        let run = run_reliably(
-            Topology::from_graph(&g),
-            |v| Recorder::new(v, 2),
-            0,
-            ChurnPlan::none(),
-            TransportConfig::default(),
-            100,
-        )
-        .unwrap();
+        let stack = Stack::new().transport(TransportConfig::default());
+        let run = reliable_run(&g, 2, 0, stack).unwrap();
         // Degree-0 nodes execute one logical round per physical round and
         // halt immediately: rounds 0..=2 and out.
         assert_eq!(run.metrics.rounds, 3);
