@@ -40,6 +40,7 @@ const EXPERIMENTS: &[&str] = &[
     "exp_e14_churn",
     "exp_e15_lossy",
     "exp_e16_chaos",
+    "exp_portfolio",
 ];
 
 struct Outcome {

@@ -165,8 +165,8 @@ fn run_epoch(
     // Message conservation, with the in-flight tail of the cut-off window.
     let m = sim.metrics();
     assert_eq!(
-        m.messages,
-        m.delivered_messages + m.dropped_messages + m.dead_on_arrival + sim.in_flight_messages(),
+        m.in_flight_residual(),
+        Ok(sim.in_flight_messages()),
         "message conservation violated"
     );
     let doa = m.dead_on_arrival;

@@ -65,27 +65,17 @@ impl Cost {
     }
 }
 
-/// Checks the transport-extended conservation law on one execution's
-/// metrics. The transport loop stops on the all-done observation, so a
-/// few straggler retransmits may legitimately still be in flight.
+/// Checks the conservation law on one execution's metrics. The
+/// transport loop stops on the all-done observation, so a few straggler
+/// retransmits may legitimately still be in flight. Without an adversary
+/// only a retransmission can produce a duplicate.
 fn check_conservation(m: &Metrics, what: &str) {
-    let accounted = m.delivered_messages + m.dropped_messages + m.dead_on_arrival;
-    let in_flight = m
-        .messages
-        .checked_sub(accounted)
-        .unwrap_or_else(|| panic!("{what}: more messages accounted than sent"));
-    assert_eq!(
-        m.delivered_messages,
-        m.unique_delivered() + m.duplicates_suppressed,
-        "{what}: delivered ≠ unique + suppressed duplicates"
-    );
+    if let Err(e) = m.in_flight_residual() {
+        panic!("{what}: {e}");
+    }
     assert!(
         m.duplicates_suppressed <= m.retransmits,
         "{what}: more duplicates than retransmissions"
-    );
-    assert!(
-        in_flight <= m.messages,
-        "{what}: in-flight residual out of range"
     );
 }
 

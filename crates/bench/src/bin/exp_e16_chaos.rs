@@ -122,32 +122,6 @@ impl Cost {
     }
 }
 
-/// Checks the adversary-extended conservation law on one execution's
-/// metrics: every sent message is delivered, dropped, dead on arrival,
-/// erased by corruption, or still in flight — and the receiver-side
-/// duplicate suppressions are bounded by the two duplicate sources
-/// (retransmissions and injected network copies).
-fn check_conservation(m: &Metrics, what: &str) {
-    let accounted = m.delivered_messages + m.dropped_messages + m.dead_on_arrival + m.corrupted;
-    let in_flight = m
-        .messages
-        .checked_sub(accounted)
-        .unwrap_or_else(|| panic!("{what}: more messages accounted than sent"));
-    assert_eq!(
-        m.delivered_messages,
-        m.unique_delivered() + m.duplicates_suppressed,
-        "{what}: delivered ≠ unique + suppressed duplicates"
-    );
-    assert!(
-        m.duplicates_suppressed <= m.retransmits + m.net_duplicated,
-        "{what}: more duplicates suppressed than retransmissions + injected copies"
-    );
-    assert!(
-        in_flight <= m.messages,
-        "{what}: in-flight residual out of range"
-    );
-}
-
 const HEADERS: [&str; 10] = [
     "fault mix",
     "rounds",
@@ -260,8 +234,12 @@ fn main() {
                 chaos(mix, p),
             )
             .unwrap_or_else(|e| panic!("Alg 2 under {}/{iname}: {e}", mix.name));
-            check_conservation(&f.metrics, "Alg 1");
-            check_conservation(&r.metrics, "Alg 2");
+            f.metrics
+                .in_flight_residual()
+                .unwrap_or_else(|e| panic!("Alg 1: {e}"));
+            r.metrics
+                .in_flight_residual()
+                .unwrap_or_else(|e| panic!("Alg 2: {e}"));
             let c = Cost::default().add(&f.metrics).add(&r.metrics);
             let identical = f.solution == frac.solution && r.outcome == rounded.outcome;
             assert!(
@@ -306,7 +284,9 @@ fn main() {
         for mix in &MIXES {
             let (r, _) = run_udg_stack(&udg, &config, chaos(mix, p))
                 .unwrap_or_else(|e| panic!("Alg 3 under {}/{iname}: {e}", mix.name));
-            check_conservation(&r.metrics, "Alg 3");
+            r.metrics
+                .in_flight_residual()
+                .unwrap_or_else(|e| panic!("Alg 3: {e}"));
             let c = Cost::default().add(&r.metrics);
             let identical = r.run == direct3.run;
             assert!(identical, "Algorithm 3 diverged under {}/{iname}", mix.name);

@@ -32,7 +32,7 @@ use ftclust_core::{Instance, KmdsError};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::exec::Stack;
 use ftclust_netsim::transport::TransportConfig;
-use ftclust_netsim::{AdversaryPlan, ChurnPlan, EventLog, Metrics};
+use ftclust_netsim::{AdversaryPlan, ChurnPlan, EventLog};
 
 /// The three contenders, in presentation order.
 const ALGOS: [Algorithm; 3] = [
@@ -94,17 +94,6 @@ fn run_algo(
             unreachable!("the paper's pipeline is benchmarked in E13–E16")
         }
     }
-}
-
-/// The adversary-extended conservation law (as in E16).
-fn check_conservation(m: &Metrics, what: &str) {
-    let accounted = m.delivered_messages + m.dropped_messages + m.dead_on_arrival + m.corrupted;
-    assert!(accounted <= m.messages, "{what}: over-accounted messages");
-    assert_eq!(
-        m.delivered_messages,
-        m.unique_delivered() + m.duplicates_suppressed,
-        "{what}: delivered ≠ unique + suppressed duplicates"
-    );
 }
 
 /// One leaderboard cell.
@@ -181,7 +170,9 @@ fn main() {
                 for regime in &REGIMES {
                     let (run, _) = run_algo(algo, &inst, (regime.build)())
                         .unwrap_or_else(|e| panic!("{} under {}: {e}", algo.name(), regime.name));
-                    check_conservation(&run.metrics, algo.name());
+                    run.metrics
+                        .in_flight_residual()
+                        .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
                     let survived = run.set == reference.set
                         && is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf);
                     assert!(

@@ -1,9 +1,9 @@
-//! Runtime invariant audits — the `strict-invariants` feature.
+//! Runtime invariant audits, compiled into every debug build.
 //!
-//! Every check here is `debug_assert!`-backed and wired into an
-//! algorithm's hot path behind `#[cfg(feature = "strict-invariants")]`,
-//! so default builds pay nothing and release builds with the feature pay
-//! only the cost of evaluating the conditions. The audited invariants are
+//! The module and every hook that calls it sit behind
+//! `#[cfg(debug_assertions)]`: `cargo test` and debug runs check the
+//! claims below on every call, and release builds compile all of it out,
+//! so they run exactly the unaudited code. The audited invariants are
 //! the load-bearing claims of the paper:
 //!
 //! * **Algorithm 1** ([`fractional_state`], [`fractional_certificate`]) —
@@ -48,18 +48,18 @@ const LEADER_DENSITY_CAP: usize = 64;
 /// Audits the per-iteration state of Algorithm 1: `x ∈ [0, 1]ⁿ`, raises
 /// non-negative, and coverage counters never negative.
 pub(crate) fn fractional_state(x: &[f64], xplus: &[f64], cov: &[f64]) {
-    debug_assert!(
+    assert!(
         x.iter()
             .all(|&v| (-RANGE_TOL..=1.0 + RANGE_TOL).contains(&v)),
-        "strict-invariants: primal iterate left [0, 1]"
+        "audit: primal iterate left [0, 1]"
     );
-    debug_assert!(
+    assert!(
         xplus.iter().all(|&v| v >= -RANGE_TOL),
-        "strict-invariants: negative raise x⁺"
+        "audit: negative raise x⁺"
     );
-    debug_assert!(
+    assert!(
         cov.iter().all(|&c| c >= -RANGE_TOL),
-        "strict-invariants: negative coverage counter"
+        "audit: negative coverage counter"
     );
 }
 
@@ -67,23 +67,23 @@ pub(crate) fn fractional_state(x: &[f64], xplus: &[f64], cov: &[f64]) {
 /// primal feasibility, Lemma 4.4 scaled dual feasibility, and weak
 /// duality between the certified bound and the primal value.
 pub(crate) fn fractional_certificate(inst: &Instance<'_>, sol: &FractionalSolution) {
-    debug_assert!(
+    assert!(
         sol.y
             .iter()
             .all(|&v| (-RANGE_TOL..=1.0 + RANGE_TOL).contains(&v)),
-        "strict-invariants: dual y outside [0, 1] — y is fixed to (Δ+1)^(-p/t)"
+        "audit: dual y outside [0, 1] — y is fixed to (Δ+1)^(-p/t)"
     );
-    debug_assert!(
+    assert!(
         sol.is_primal_feasible(inst, CERT_TOL),
-        "strict-invariants: Algorithm 1 returned a primal-infeasible x"
+        "audit: Algorithm 1 returned a primal-infeasible x"
     );
-    debug_assert!(
+    assert!(
         sol.is_scaled_dual_feasible(inst, CERT_TOL),
-        "strict-invariants: (y/κ, z/κ) is not dual feasible — Lemma 4.4 violated"
+        "audit: (y/κ, z/κ) is not dual feasible — Lemma 4.4 violated"
     );
-    debug_assert!(
+    assert!(
         sol.lower_bound <= sol.value + CERT_TOL,
-        "strict-invariants: certified lower bound {} exceeds primal value {} — weak duality violated",
+        "audit: certified lower bound {} exceeds primal value {} — weak duality violated",
         sol.lower_bound,
         sol.value
     );
@@ -113,15 +113,15 @@ pub(crate) fn rounding_monotone(
 ) {
     let after = closed_coverage(inst, selected);
     for (i, (&b, &a)) in before.iter().zip(&after).enumerate() {
-        debug_assert!(
+        assert!(
             a >= b,
-            "strict-invariants: repair decreased node {i}'s coverage ({b} → {a})"
+            "audit: repair decreased node {i}'s coverage ({b} → {a})"
         );
         if repaired {
             let k = inst.demand(NodeId::new(i as u32));
-            debug_assert!(
+            assert!(
                 a >= k,
-                "strict-invariants: node {i} left with coverage {a} < demand {k} after repair"
+                "audit: node {i} left with coverage {a} < demand {k} after repair"
             );
         }
     }
@@ -145,9 +145,9 @@ pub(crate) fn part1_invariants(
     coverage_radius: f64,
 ) {
     for pair in masks.windows(2) {
-        debug_assert!(
+        assert!(
             pair[0].iter().zip(&pair[1]).all(|(&was, &is)| was || !is),
-            "strict-invariants: a deactivated node became active again"
+            "audit: a deactivated node became active again"
         );
     }
     let g = udg.graph();
@@ -159,17 +159,17 @@ pub(crate) fn part1_invariants(
     if g.node_count() > 0 {
         let reach = coverage_radius.max(1e-12);
         let grid = SpatialGrid::build(&leader_pos, reach);
-        debug_assert!(
+        assert!(
             g.nodes().all(|v| grid.count_within(udg.position(v), reach + 1e-9) > 0),
-            "strict-invariants: a node has no leader within Σθ = {coverage_radius} — Lemma 5.1's chain argument violated"
+            "audit: a node has no leader within Σθ = {coverage_radius} — Lemma 5.1's chain argument violated"
         );
     }
     if !leader_pos.is_empty() {
         let r_half = (udg.radius() / 2.0).max(1e-12);
         let grid = SpatialGrid::build(&leader_pos, r_half);
-        debug_assert!(
+        assert!(
             leader_pos.iter().all(|&p| grid.count_within(p, r_half) <= LEADER_DENSITY_CAP),
-            "strict-invariants: more than {LEADER_DENSITY_CAP} leaders in one radius-r/2 disk — Lemma 5.5 sparsification failed"
+            "audit: more than {LEADER_DENSITY_CAP} leaders in one radius-r/2 disk — Lemma 5.5 sparsification failed"
         );
     }
 }
@@ -185,9 +185,9 @@ pub(crate) fn loss_transparent<T: PartialEq + std::fmt::Debug>(
     lossy: &T,
     lossless: &T,
 ) {
-    debug_assert!(
+    assert!(
         lossy == lossless,
-        "strict-invariants: {what} diverged under message loss\n lossy:    {lossy:?}\n lossless: {lossless:?}"
+        "audit: {what} diverged under message loss\n lossy:    {lossy:?}\n lossless: {lossless:?}"
     );
 }
 
@@ -204,14 +204,14 @@ pub(crate) fn repair_postconditions(
     repaired: &DominatingSet,
     added: &[NodeId],
 ) {
-    debug_assert!(
+    assert!(
         repaired.ids().all(|v| alive[v.index()]),
-        "strict-invariants: a dead node is a member of the repaired set"
+        "audit: a dead node is a member of the repaired set"
     );
     let (sub, survivors) = crate::repair::surviving_instance(g, repaired, alive);
-    debug_assert!(
+    assert!(
         is_k_dominating(&sub, &survivors, k, Semantics::Strict),
-        "strict-invariants: repaired set does not strictly {k}-dominate the surviving subgraph"
+        "audit: repaired set does not strictly {k}-dominate the surviving subgraph"
     );
     // The locality bound is only promised when repair started from a set
     // that strictly k-dominated the *full* graph (pre-failure validity).
@@ -220,9 +220,9 @@ pub(crate) fn repair_postconditions(
             g.closed_neighbors(v)
                 .any(|u| !alive[u.index()] || g.neighbors(u).iter().any(|w| !alive[w.index()]))
         };
-        debug_assert!(
+        assert!(
             added.iter().all(|&v| near_failure(v)),
-            "strict-invariants: repair added a node farther than 2 hops from any failure"
+            "audit: repair added a node farther than 2 hops from any failure"
         );
     }
 }
@@ -236,8 +236,8 @@ mod tests {
     use crate::validate::{is_k_dominating_instance, Semantics};
     use ftclust_graphs::generators;
 
-    // With the feature on, the hooks inside the algorithms run on every
-    // call — these tests exercise all three audited paths end to end.
+    // The hooks inside the algorithms run on every call in a debug
+    // build — these tests exercise all three audited paths end to end.
 
     #[test]
     fn algorithm_1_passes_audits() {
@@ -283,7 +283,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "repair decreased")]
     fn rounding_audit_catches_coverage_regression() {
         let g = generators::cycle(6);
@@ -295,7 +294,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "weak duality")]
     fn certificate_audit_catches_inflated_bound() {
         let g = generators::cycle(6);
@@ -306,7 +304,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "deactivated node became active")]
     fn part1_audit_catches_resurrected_nodes() {
         let udg = generators::random_udg(20, 4.0, 1.0, 2);
@@ -317,8 +314,8 @@ mod tests {
 
     #[test]
     fn repair_passes_audits() {
-        // With the feature on, repair_coverage runs repair_postconditions
-        // on every call — exercise the full hook end to end.
+        // repair_coverage runs repair_postconditions on every call in a
+        // debug build — exercise the full hook end to end.
         let udg = generators::random_udg(300, 10.0, 1.0, 5);
         let run = UdgAlgorithm::new(2).seed(1).run(&udg).unwrap();
         let mut alive = vec![true; udg.node_count()];
@@ -337,7 +334,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "does not strictly")]
     fn repair_audit_catches_unhealed_set() {
         // Node 1 of the path 0-1-2 dies; claiming the empty set "healed"
@@ -349,7 +345,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "dead node is a member")]
     fn repair_audit_catches_dead_member() {
         let g = generators::cycle(4);

@@ -108,10 +108,7 @@ pub fn survivability(
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let members: Vec<NodeId> = set.ids().collect();
-    let mut covered_fraction = Vec::with_capacity(trials as usize);
-    let mut fully_fraction = Vec::with_capacity(trials as usize);
-    let mut residual = Vec::with_capacity(trials as usize);
-    for _ in 0..trials {
+    Ok(score_trials(inst, set, model, trials, || {
         let mut dead = vec![false; g.node_count()];
         match model {
             FailureModel::KillDominators { count } => {
@@ -130,51 +127,8 @@ pub fn survivability(
                 unreachable!("Region was rejected before the trial loop");
             }
         }
-        let mut clients = 0usize;
-        let mut covered = 0usize;
-        let mut fully = 0usize;
-        let mut cov_sum = 0usize;
-        for v in g.nodes() {
-            if set.contains(v) || dead[v.index()] {
-                continue; // only surviving non-set nodes are "clients"
-            }
-            clients += 1;
-            let alive_doms = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&w| set.contains(w) && !dead[w.index()])
-                .count();
-            cov_sum += alive_doms;
-            if alive_doms >= 1 {
-                covered += 1;
-            }
-            if alive_doms as u32 >= inst.demand(v) {
-                fully += 1;
-            }
-        }
-        if clients == 0 {
-            covered_fraction.push(1.0);
-            fully_fraction.push(1.0);
-            residual.push(0.0);
-        } else {
-            covered_fraction.push(covered as f64 / clients as f64);
-            fully_fraction.push(fully as f64 / clients as f64);
-            residual.push(cov_sum as f64 / clients as f64);
-        }
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    Ok(SurvivabilityReport {
-        model,
-        trials,
-        mean_covered_fraction: mean(&covered_fraction),
-        min_covered_fraction: covered_fraction
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min),
-        mean_fully_covered_fraction: mean(&fully_fraction),
-        mean_residual_coverage: mean(&residual),
-        mean_at_risk_covered_fraction: None,
-    })
+        (dead, None)
+    }))
 }
 
 /// Correlated **regional** failure for geometric deployments: all nodes
@@ -211,7 +165,6 @@ pub fn regional_survivability(
             what: "regional_survivability",
         });
     }
-    let g = inst.graph();
     assert_eq!(set.universe(), udg.node_count(), "set universe mismatch");
     assert!(
         disaster_radius.is_finite() && disaster_radius >= 0.0,
@@ -222,28 +175,57 @@ pub fn regional_survivability(
         ftclust_geometry::Point::ORIGIN,
         ftclust_geometry::Point::ORIGIN,
     ));
-    let mut covered_fraction = Vec::with_capacity(trials as usize);
-    let mut fully_fraction = Vec::with_capacity(trials as usize);
-    let mut residual = Vec::with_capacity(trials as usize);
-    let mut at_risk_fraction = Vec::with_capacity(trials as usize);
-    for _ in 0..trials {
+    let model = FailureModel::Region {
+        radius: disaster_radius,
+    };
+    let r_sq = disaster_radius * disaster_radius;
+    // Survivors close enough to the disaster that part of their
+    // neighborhood may have burned.
+    let risk_band = disaster_radius + udg.radius();
+    Ok(score_trials(inst, set, model, trials, || {
         let center = ftclust_geometry::Point::new(
             rng.random_range(lo.x..=hi.x.max(lo.x + f64::EPSILON)),
             rng.random_range(lo.y..=hi.y.max(lo.y + f64::EPSILON)),
         );
-        let r_sq = disaster_radius * disaster_radius;
         let dead: Vec<bool> = udg
             .positions()
             .iter()
             .map(|p| p.dist_sq(center) <= r_sq)
             .collect();
+        let at_risk = udg
+            .positions()
+            .iter()
+            .map(|p| p.dist(center) <= risk_band)
+            .collect();
+        (dead, Some(at_risk))
+    }))
+}
+
+/// Runs `trials` failure trials and aggregates the report. Each call of
+/// `trial` draws one failure: the dead-node mask and, for regional
+/// failures, the mask of nodes at risk. Only surviving non-set nodes
+/// ("clients") are scored; a trial with no clients counts as fully
+/// covered.
+fn score_trials(
+    inst: &Instance<'_>,
+    set: &DominatingSet,
+    model: FailureModel,
+    trials: u32,
+    mut trial: impl FnMut() -> (Vec<bool>, Option<Vec<bool>>),
+) -> SurvivabilityReport {
+    let g = inst.graph();
+    let mut covered_fraction = Vec::with_capacity(trials as usize);
+    let mut fully_fraction = Vec::with_capacity(trials as usize);
+    let mut residual = Vec::with_capacity(trials as usize);
+    let mut at_risk_fraction = Vec::with_capacity(trials as usize);
+    for _ in 0..trials {
+        let (dead, at_risk_mask) = trial();
         let mut clients = 0usize;
         let mut covered = 0usize;
         let mut fully = 0usize;
         let mut cov_sum = 0usize;
         let mut at_risk = 0usize;
         let mut at_risk_covered = 0usize;
-        let risk_band = disaster_radius + udg.radius();
         for v in g.nodes() {
             if set.contains(v) || dead[v.index()] {
                 continue;
@@ -261,9 +243,7 @@ pub fn regional_survivability(
             if alive as u32 >= inst.demand(v) {
                 fully += 1;
             }
-            // Survivors close enough to the disaster that part of their
-            // neighborhood may have burned.
-            if udg.position(v).dist(center) <= risk_band {
+            if at_risk_mask.as_ref().is_some_and(|m| m[v.index()]) {
                 at_risk += 1;
                 if alive >= 1 {
                     at_risk_covered += 1;
@@ -279,17 +259,17 @@ pub fn regional_survivability(
             fully_fraction.push(fully as f64 / clients as f64);
             residual.push(cov_sum as f64 / clients as f64);
         }
-        at_risk_fraction.push(if at_risk == 0 {
-            1.0
-        } else {
-            at_risk_covered as f64 / at_risk as f64
-        });
+        if at_risk_mask.is_some() {
+            at_risk_fraction.push(if at_risk == 0 {
+                1.0
+            } else {
+                at_risk_covered as f64 / at_risk as f64
+            });
+        }
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    Ok(SurvivabilityReport {
-        model: FailureModel::Region {
-            radius: disaster_radius,
-        },
+    SurvivabilityReport {
+        model,
         trials,
         mean_covered_fraction: mean(&covered_fraction),
         min_covered_fraction: covered_fraction
@@ -298,8 +278,9 @@ pub fn regional_survivability(
             .fold(f64::INFINITY, f64::min),
         mean_fully_covered_fraction: mean(&fully_fraction),
         mean_residual_coverage: mean(&residual),
-        mean_at_risk_covered_fraction: Some(mean(&at_risk_fraction)),
-    })
+        mean_at_risk_covered_fraction: matches!(model, FailureModel::Region { .. })
+            .then(|| mean(&at_risk_fraction)),
+    }
 }
 
 /// The deterministic guarantee: for a strict k-fold dominating set, after

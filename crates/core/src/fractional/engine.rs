@@ -363,7 +363,7 @@ pub fn solve_fractional(
             }
             // Lines 23–24: exchange colors, recompute dynamic degrees.
             st.recompute_dyndeg(inst);
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             crate::audit::fractional_state(&st.x, &st.xplus, &st.cov);
         }
     }
@@ -419,7 +419,7 @@ pub fn solve_fractional(
         delta,
         lemma41_violations,
     };
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     crate::audit::fractional_certificate(inst, &sol);
     Ok(sol)
 }

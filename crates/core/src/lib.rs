@@ -67,7 +67,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 mod audit;
 mod error;
 mod instance;

@@ -75,7 +75,6 @@ impl NodeLogic for GreedyNode {
 /// happen), or — with the transport engaged — wrapping
 /// [`ftclust_netsim::SimError::DeliveryFailed`] if loss exceeds a
 /// retransmit budget.
-#[cfg_attr(not(feature = "strict-invariants"), allow(unused_variables))]
 pub fn run_cgreedy_stack(
     inst: &Instance<'_>,
     stack: Stack,
@@ -99,7 +98,7 @@ pub fn run_cgreedy_stack(
     ])
     .run(4)?;
     let set = DominatingSet::from_members(run.logics.iter().map(|l| l.member).collect());
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     {
         assert_eq!(
             set, engine_set,
@@ -113,11 +112,6 @@ pub fn run_cgreedy_stack(
         }
         if _transported {
             crate::audit::loss_transparent("centralized greedy", &set, &engine_set);
-        }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&run.metrics) {
-                unreachable!("centralized greedy: trace rollups diverged from Metrics: {e}");
-            }
         }
     }
     Ok((

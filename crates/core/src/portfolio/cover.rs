@@ -245,7 +245,7 @@ impl NodeLogic for CoverNode {
 /// [`super::run_dkm_stack`]: builds the skeleton with the given
 /// election rule, runs it through the composable executor, and
 /// assembles the set from the final member flags.
-#[cfg_attr(not(feature = "strict-invariants"), allow(unused_variables))]
+#[cfg_attr(not(debug_assertions), allow(unused_variables))]
 pub(crate) fn run_cover_stack(
     inst: &Instance<'_>,
     election: Election,
@@ -268,7 +268,7 @@ pub(crate) fn run_cover_stack(
     .phases(vec![Phase::repeat(span_name, 3)])
     .run(budget)?;
     let set = DominatingSet::from_members(run.logics.iter().map(|l| l.member).collect());
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     {
         assert!(
             crate::validate::is_k_dominating_instance(
@@ -281,11 +281,6 @@ pub(crate) fn run_cover_stack(
         if _transported {
             let (lossless, _) = run_cover_stack(inst, election, span_name, what, Stack::new())?;
             crate::audit::loss_transparent(what, &set, &lossless.set);
-        }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&run.metrics) {
-                unreachable!("{what}: trace rollups diverged from Metrics: {e}");
-            }
         }
     }
     Ok((

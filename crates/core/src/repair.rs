@@ -68,9 +68,8 @@
 //! constant. If the pre-failure set strictly k-dominated the *full*
 //! graph, every needy node lost a dominator and is therefore a graph
 //! neighbor of a failed node, and every added node is needy — so repair
-//! **never touches a node farther than 2 hops from a failure** (the
-//! `strict-invariants` feature audits both this and the re-validation of
-//! the healed set).
+//! **never touches a node farther than 2 hops from a failure** (debug
+//! builds audit both this and the re-validation of the healed set).
 //!
 //! # Example
 //!
@@ -386,7 +385,7 @@ pub fn repair_coverage(
         peak_deficit,
         deficit_nodes,
     };
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     crate::audit::repair_postconditions(g, set, alive, k, &outcome.set, &outcome.added);
     Ok(outcome)
 }
@@ -664,9 +663,8 @@ fn repair_phases() -> Vec<Phase> {
 /// cost is spread over iterations versus detection via the plan above.
 /// When the transport is engaged, drops and outage windows add metered
 /// retransmissions but leave the healed set, additions and iteration
-/// count seed-for-seed identical to [`repair_coverage`]'s (asserted by
-/// the `strict-invariants` feature, which also reconciles the log's
-/// rollups against the metrics).
+/// count seed-for-seed identical to [`repair_coverage`]'s (asserted in
+/// debug builds).
 ///
 /// # Errors
 ///
@@ -713,33 +711,26 @@ pub fn run_repair_stack(
         run.logical_rounds,
         run.metrics,
     );
-    #[cfg(feature = "strict-invariants")]
-    {
-        if _transported {
-            let engine = repair_coverage(g, set, alive, k, cfg)?;
-            crate::audit::loss_transparent(
-                "coverage repair",
-                &(
-                    out.set.clone(),
-                    out.added.clone(),
-                    out.iterations,
-                    out.peak_deficit,
-                    out.deficit_nodes,
-                ),
-                &(
-                    engine.set,
-                    engine.added,
-                    engine.iterations,
-                    engine.peak_deficit,
-                    engine.deficit_nodes,
-                ),
-            );
-        }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&out.metrics) {
-                unreachable!("trace rollups diverged from Metrics: {e}");
-            }
-        }
+    #[cfg(debug_assertions)]
+    if _transported {
+        let engine = repair_coverage(g, set, alive, k, cfg)?;
+        crate::audit::loss_transparent(
+            "coverage repair",
+            &(
+                out.set.clone(),
+                out.added.clone(),
+                out.iterations,
+                out.peak_deficit,
+                out.deficit_nodes,
+            ),
+            &(
+                engine.set,
+                engine.added,
+                engine.iterations,
+                engine.peak_deficit,
+                engine.deficit_nodes,
+            ),
+        );
     }
     Ok((out, run.log))
 }
@@ -1013,12 +1004,6 @@ pub fn run_repair_continuous(
     for s in sums {
         monitor.observe(s);
     }
-    #[cfg(feature = "strict-invariants")]
-    if let Some(log) = &run.log {
-        if let Err(e) = log.reconcile(&run.metrics) {
-            unreachable!("trace rollups diverged from Metrics: {e}");
-        }
-    }
     Ok((
         ContinuousRepairRun {
             set: DominatingSet::from_members(members),
@@ -1100,7 +1085,7 @@ mod tests {
     fn additions_stay_local_to_failures() {
         // With a valid pre-failure set, every added node must be within 2
         // hops of some dead node (the module-docs locality argument; the
-        // strict-invariants audit re-checks this on every call).
+        // debug-build audit re-checks this on every call).
         let udg = generators::random_udg(500, 12.0, 1.0, 9);
         let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(2).run(&udg).unwrap();

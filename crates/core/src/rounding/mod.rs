@@ -113,7 +113,7 @@ pub fn round_fractional(
         selected[i] = rngs[i].random::<f64>() < p;
     }
     let initial_picks = selected.iter().filter(|&&b| b).count();
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     let coverage_before = crate::audit::closed_coverage(inst, &selected);
     let mut requested = vec![false; n];
     if params.repair {
@@ -148,7 +148,7 @@ pub fn round_fractional(
             repair_picks += 1;
         }
     }
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     crate::audit::rounding_monotone(inst, &coverage_before, &selected, params.repair);
     RoundingOutcome {
         set: DominatingSet::from_members(selected),

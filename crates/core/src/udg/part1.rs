@@ -161,7 +161,7 @@ pub(crate) fn run_part1(udg: &UnitDiskGraph, seed: u64, id_mode: IdMode) -> Part
     }
     let final_mask = active.to_bools();
     masks.push(final_mask.clone());
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     crate::audit::part1_invariants(udg, &masks, &final_mask, schedule.iter().sum());
 
     Part1Outcome {

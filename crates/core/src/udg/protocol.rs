@@ -283,8 +283,7 @@ fn empty_udg_run() -> UdgProtocolRun {
 /// above. When the transport is engaged, drops and outage windows add
 /// metered retransmissions but leave the computed set, leaders and
 /// iteration counts seed-for-seed identical to the lossless run's
-/// (asserted against the engine by the `strict-invariants` feature,
-/// which also reconciles the log's rollups against the metrics); the
+/// (asserted against the engine in debug builds); the
 /// Part II iteration count is derived from the transport's **logical**
 /// round count, which loss cannot inflate.
 ///
@@ -332,16 +331,9 @@ pub fn run_udg_stack(
     .phases(udg_phases(part1_rounds))
     .run(budget)?;
     let assembled = assemble_run(part1_rounds, run.logical_rounds, run.logics.iter());
-    #[cfg(feature = "strict-invariants")]
-    {
-        if _transported {
-            crate::audit::loss_transparent("Algorithm 3", &assembled, &config.run(udg)?);
-        }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&run.metrics) {
-                unreachable!("trace rollups diverged from Metrics: {e}");
-            }
-        }
+    #[cfg(debug_assertions)]
+    if _transported {
+        crate::audit::loss_transparent("Algorithm 3", &assembled, &config.run(udg)?);
     }
     Ok((
         UdgProtocolRun {

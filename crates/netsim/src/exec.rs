@@ -418,6 +418,8 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         let metrics = sim.metrics().clone();
         let logical_rounds = metrics.rounds;
         let log = sim.take_event_log();
+        #[cfg(debug_assertions)]
+        audit_run(&metrics, sim.in_flight_messages(), log.as_ref());
         Ok(Run {
             logics: sim.into_logics(),
             metrics,
@@ -453,6 +455,8 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         };
         let metrics = sim.metrics().clone();
         let log = sim.take_event_log();
+        #[cfg(debug_assertions)]
+        audit_run(&metrics, sim.in_flight_messages(), log.as_ref());
         Ok(Run {
             logics: sim
                 .into_logics()
@@ -463,6 +467,26 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             logical_rounds,
             log,
         })
+    }
+}
+
+/// The checks every finished run must pass, compiled into debug builds
+/// only: the counters obey the conservation law with exactly the
+/// simulator's in-flight messages left over, and a traced run's
+/// [`EventLog`] reconciles against them.
+#[cfg(debug_assertions)]
+fn audit_run(metrics: &Metrics, in_flight: u64, log: Option<&EventLog>) {
+    assert_eq!(
+        metrics.in_flight_residual(),
+        Ok(in_flight),
+        "message conservation violated (left: the counters' residual, right: the simulator's in-flight count)"
+    );
+    if let Some(log) = log {
+        let reconciled = log.reconcile(metrics);
+        assert!(
+            reconciled.is_ok(),
+            "trace rollups diverged from Metrics: {reconciled:?}"
+        );
     }
 }
 

@@ -140,6 +140,54 @@ impl Metrics {
         self.delivered_messages - self.duplicates_suppressed
     }
 
+    /// Checks the conservation law stated on [`Metrics::unique_delivered`]
+    /// and returns its in-flight residual `messages − (unique_delivered +
+    /// duplicates_suppressed + dropped_messages + dead_on_arrival +
+    /// corrupted)`: the messages still travelling when the counters were
+    /// read. For counters read off a [`crate::Simulator`] it equals
+    /// [`crate::Simulator::in_flight_messages`] exactly; the executor
+    /// asserts that at the end of every run in a debug build.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated bound: more duplicates suppressed than
+    /// delivered, or than retransmissions plus injected copies; more
+    /// overhead frames (retransmits + acks) than sends; or more messages
+    /// accounted for than sent.
+    pub fn in_flight_residual(&self) -> Result<u64, String> {
+        if self.duplicates_suppressed > self.delivered_messages {
+            return Err(format!(
+                "more duplicates suppressed ({}) than messages delivered ({})",
+                self.duplicates_suppressed, self.delivered_messages
+            ));
+        }
+        if self.duplicates_suppressed > self.retransmits + self.net_duplicated {
+            return Err(format!(
+                "more duplicates suppressed ({}) than retransmissions + injected copies ({})",
+                self.duplicates_suppressed,
+                self.retransmits + self.net_duplicated
+            ));
+        }
+        if self.retransmits + self.acks > self.messages {
+            return Err(format!(
+                "more retransmits + acks ({}) than messages sent ({})",
+                self.retransmits + self.acks,
+                self.messages
+            ));
+        }
+        let accounted = self.unique_delivered()
+            + self.duplicates_suppressed
+            + self.dropped_messages
+            + self.dead_on_arrival
+            + self.corrupted;
+        self.messages.checked_sub(accounted).ok_or_else(|| {
+            format!(
+                "more messages accounted ({accounted}) than sent ({})",
+                self.messages
+            )
+        })
+    }
+
     /// Rounds folded into each `per_round_*` entry. 1 unless a series
     /// cap (see [`Metrics::set_per_round_cap`]) forced compaction.
     pub fn per_round_resolution(&self) -> u64 {
@@ -360,6 +408,27 @@ mod tests {
             ..Metrics::default()
         };
         let _ = m.unique_delivered();
+    }
+
+    #[test]
+    fn in_flight_residual_rejects_corrupted_counters() {
+        let mut m = Metrics::default();
+        m.begin_round();
+        m.record_send(8);
+        m.record_send(8);
+        m.delivered_messages = 1;
+        assert_eq!(m.in_flight_residual(), Ok(1));
+        m.dropped_messages = 2; // one more loss than there were sends left
+        let err = m.in_flight_residual().unwrap_err();
+        assert!(err.contains("accounted"), "unexpected error: {err}");
+        m.dropped_messages = 0;
+        m.duplicates_suppressed = 1; // a duplicate with no retransmission
+        let err = m.in_flight_residual().unwrap_err();
+        assert!(err.contains("retransmissions"), "unexpected error: {err}");
+        m.duplicates_suppressed = 0;
+        m.acks = 3; // more pure acks than frames on the wire
+        let err = m.in_flight_residual().unwrap_err();
+        assert!(err.contains("acks"), "unexpected error: {err}");
     }
 
     #[test]

@@ -1203,13 +1203,7 @@ mod tests {
         assert_eq!(m.dead_on_arrival, 5);
         assert_eq!(m.delivered_messages, 1);
         assert_eq!(m.dropped_messages, 0);
-        assert_eq!(
-            m.messages,
-            m.delivered_messages
-                + m.dropped_messages
-                + m.dead_on_arrival
-                + sim.in_flight_messages()
-        );
+        assert_eq!(m.in_flight_residual(), Ok(sim.in_flight_messages()));
     }
 
     #[test]
@@ -1270,13 +1264,7 @@ mod tests {
         // 3 rounds = 12. Outage kills 0→1 and 1→0 in rounds 0 and 1.
         assert_eq!(m.messages, 12);
         assert_eq!(m.dropped_messages, 4);
-        assert_eq!(
-            m.messages,
-            m.delivered_messages
-                + m.dropped_messages
-                + m.dead_on_arrival
-                + sim.in_flight_messages()
-        );
+        assert_eq!(m.in_flight_residual(), Ok(sim.in_flight_messages()));
         // Node 0 only hears node 1's round-2 send.
         assert_eq!(sim.logic(NodeId::new(0)).seen, 1);
         // Node 2 hears all three of node 1's sends.
@@ -1480,11 +1468,7 @@ mod tests {
             prop_assert_eq!(m.per_round_messages.iter().sum::<u64>(), m.messages);
             prop_assert_eq!(m.per_round_bits.iter().sum::<u64>(), m.total_bits);
             prop_assert_eq!(m.per_round_messages.len() as u64, m.rounds);
-            prop_assert_eq!(
-                m.messages,
-                m.delivered_messages + m.dropped_messages + m.dead_on_arrival
-                    + sim.in_flight_messages()
-            );
+            prop_assert_eq!(m.in_flight_residual(), Ok(sim.in_flight_messages()));
             let total_seen: u64 = sim.logics().map(|l| l.seen).sum();
             prop_assert!(total_seen <= m.delivered_messages);
         }

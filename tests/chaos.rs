@@ -88,15 +88,9 @@ proptest! {
         sim.set_adversary(plan);
         sim.run(200).unwrap();
         let m = sim.metrics();
-        let in_flight = sim.in_flight_messages();
         prop_assert_eq!(
-            m.messages,
-            m.unique_delivered()
-                + m.duplicates_suppressed
-                + m.dropped_messages
-                + m.dead_on_arrival
-                + m.corrupted
-                + in_flight,
+            m.in_flight_residual(),
+            Ok(sim.in_flight_messages()),
             "conservation law violated"
         );
         // No transport below the simulator: nothing suppresses, so the
@@ -131,17 +125,8 @@ proptest! {
         match run_fractional_stack(&inst, &params, stack) {
             Ok((run, _)) => {
                 prop_assert_eq!(&run.solution, &clean.solution, "chaos changed the result");
-                let m = &run.metrics;
-                let accounted = m.unique_delivered()
-                    + m.duplicates_suppressed
-                    + m.dropped_messages
-                    + m.dead_on_arrival
-                    + m.corrupted;
-                prop_assert!(accounted <= m.messages, "more messages accounted than sent");
-                prop_assert!(
-                    m.duplicates_suppressed <= m.retransmits + m.net_duplicated,
-                    "more duplicates suppressed than retransmissions + injected copies"
-                );
+                let residual = run.metrics.in_flight_residual();
+                prop_assert!(residual.is_ok(), "conservation law violated: {:?}", residual);
             }
             // Legitimate fail-fast under extreme sustained loss: the
             // retransmit budget is finite by design.

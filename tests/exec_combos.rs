@@ -42,20 +42,16 @@ fn check_log(log: &EventLog, metrics: &Metrics, what: &str) {
     }
 }
 
-/// The transport-extended conservation law.
+/// The conservation law, plus a tighter duplicate bound these fixed-seed
+/// runs also meet: suppressed duplicates never outnumber retransmissions
+/// (the law itself also admits the adversary's injected copies).
 fn check_conservation(m: &Metrics, what: &str) {
-    assert_eq!(
-        m.delivered_messages,
-        m.unique_delivered() + m.duplicates_suppressed,
-        "{what}: delivered ≠ unique + suppressed duplicates"
-    );
+    if let Err(e) = m.in_flight_residual() {
+        panic!("{what}: {e}");
+    }
     assert!(
         m.duplicates_suppressed <= m.retransmits,
         "{what}: more duplicates than retransmissions"
-    );
-    assert!(
-        m.delivered_messages + m.dropped_messages + m.dead_on_arrival <= m.messages,
-        "{what}: more messages accounted than sent"
     );
 }
 

@@ -12,7 +12,7 @@ use ftclust::lp::solve as lp_solve;
 use ftclust::netsim::exec::{Executor, Stack};
 use ftclust::netsim::transport::TransportConfig;
 use ftclust::netsim::{
-    ChurnPlan, Context, Control, Envelope, Metrics, NodeLogic, Payload, Simulator, Topology,
+    ChurnPlan, Context, Control, Envelope, NodeLogic, Payload, Simulator, Topology,
 };
 use proptest::prelude::*;
 
@@ -42,24 +42,6 @@ impl NodeLogic for Chatter {
             Control::Continue
         }
     }
-}
-
-/// The transport-extended conservation law: every sent message is
-/// delivered exactly once, suppressed as a duplicate, dropped by the
-/// link, dead on arrival, or still in flight — and duplicates can only
-/// come from retransmissions.
-fn assert_conservation(m: &Metrics, in_flight: u64) {
-    assert_eq!(
-        m.messages,
-        m.unique_delivered()
-            + m.duplicates_suppressed
-            + m.dropped_messages
-            + m.dead_on_arrival
-            + in_flight,
-        "conservation law violated"
-    );
-    assert!(m.duplicates_suppressed <= m.retransmits);
-    assert!(m.retransmits + m.acks <= m.messages);
 }
 
 fn arbitrary_graph() -> impl Strategy<Value = Graph> {
@@ -212,7 +194,11 @@ proptest! {
         );
         for _ in 0..40 {
             let running = sim.step();
-            assert_conservation(sim.metrics(), sim.in_flight_messages());
+            prop_assert_eq!(
+                sim.metrics().in_flight_residual(),
+                Ok(sim.in_flight_messages()),
+                "conservation law violated"
+            );
             prop_assert_eq!(sim.metrics().retransmits, 0);
             prop_assert_eq!(sim.metrics().duplicates_suppressed, 0);
             if !running {
@@ -245,13 +231,10 @@ proptest! {
         // possibly still in flight are ARQ traffic: retransmitted copies
         // of already-delivered data, or pure acks.
         let m = &run.metrics;
-        let accounted = m.unique_delivered()
-            + m.duplicates_suppressed
-            + m.dropped_messages
-            + m.dead_on_arrival;
-        prop_assert!(accounted <= m.messages, "more messages accounted than sent");
-        prop_assert!(m.messages - accounted <= m.retransmits + m.acks);
+        let residual = m
+            .in_flight_residual()
+            .unwrap_or_else(|e| panic!("conservation law violated: {e}"));
+        prop_assert!(residual <= m.retransmits + m.acks);
         prop_assert!(m.duplicates_suppressed <= m.retransmits);
-        prop_assert!(m.retransmits + m.acks <= m.messages);
     }
 }
