@@ -162,6 +162,15 @@ struct Cell {
     net_duplicated: u64,
 }
 
+/// One fault mix's JSON row: name, per-burst `(cycle, detect, ttr)`,
+/// MTTR and whether the set healed.
+type MttrRow = (
+    String,
+    Vec<(u64, Option<u64>, Option<u64>)>,
+    Option<f64>,
+    bool,
+);
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -363,12 +372,7 @@ fn main() {
     println!("{cycles} cycles): detection latency and time-to-repair per burst, per mix:");
     let mut tm = Table::new(&["fault mix", "burst", "detect", "ttr", "mttr", "healed"]);
     let rcfg = RepairConfig::new(9);
-    let mut mttr_rows: Vec<(
-        String,
-        Vec<(u64, Option<u64>, Option<u64>)>,
-        Option<f64>,
-        bool,
-    )> = Vec::new();
+    let mut mttr_rows: Vec<MttrRow> = Vec::new();
     for mix in &MIXES {
         let plan = (mix.build)(0xC4A05, 0.05, &side);
         let (out, _) = run_repair_continuous(

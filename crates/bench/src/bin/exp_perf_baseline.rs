@@ -39,9 +39,7 @@
 
 use ftclust_bench::families::Family;
 use ftclust_bench::stats::median;
-use ftclust_netsim::{
-    Context, Control, Envelope, EventLog, NodeLogic, Payload, Simulator, Topology,
-};
+use ftclust_netsim::{Context, Control, Envelope, NodeLogic, Payload, Simulator, Topology};
 use ftclust_par as par;
 use rand::Rng;
 use std::fmt::Write as _;
@@ -159,7 +157,7 @@ fn json_row(m: &Measurement) -> String {
     )
 }
 
-/// Re-runs the smallest workload with an [`EventLog`] tracer attached
+/// Re-runs the smallest workload with an event log recording it
 /// and writes the JSONL export to `path`. The traced run is *separate*
 /// from the timed sweep so tracing overhead never pollutes
 /// `BENCH.json`; CI diffs this file across thread counts to pin the
@@ -174,7 +172,7 @@ fn write_trace(path: &str, n: u32, rounds: u32) {
         },
         42,
     );
-    sim.set_tracer(EventLog::new());
+    sim.start_trace();
     sim.run(u64::from(rounds) + 2).expect("gossip quiesces");
     let log = sim.take_event_log().unwrap_or_default();
     match log.write_jsonl(std::path::Path::new(path)) {
@@ -204,7 +202,7 @@ fn main() {
     let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let trials = if smoke { 1 } else { 3 };
     let max_threads = *thread_counts.last().expect("non-empty sweep");
-    let host_logical_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_logical_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     eprintln!(
         "perf baseline: gossip flood, sizes {:?}, threads {thread_counts:?}, {trials} trial(s){}",
         sizes.iter().map(|&(n, _)| n).collect::<Vec<_>>(),

@@ -85,7 +85,7 @@ impl Payload for CoverMsg {
     }
 }
 
-/// SplitMix64 finalizer used as the election priority. Raw node ids are
+/// `SplitMix64` finalizer used as the election priority. Raw node ids are
 /// adversarial on grid-like families (row-major ids make the layered
 /// election degenerate into a Θ(n) sequential sweep); hashing restores
 /// the expected wide independent layers on every family, and keeps the
@@ -188,10 +188,9 @@ impl NodeLogic for CoverNode {
                 for env in inbox {
                     match env.payload {
                         CoverMsg::Status { residual } => {
-                            let o = match ctx.neighbors().binary_search(&env.from) {
-                                Ok(o) => o,
-                                // The simulator only delivers along topology edges.
-                                Err(_) => unreachable!("status from a non-neighbor"),
+                            // The simulator only delivers along topology edges.
+                            let Ok(o) = ctx.neighbors().binary_search(&env.from) else {
+                                unreachable!("status from a non-neighbor")
                             };
                             self.nres[o] = residual;
                         }
@@ -243,13 +242,14 @@ impl NodeLogic for CoverNode {
 
 /// Shared stack driver behind [`super::run_pb_stack`] and
 /// [`super::run_dkm_stack`]: builds the skeleton with the given
-/// election rule, runs it through the composable executor, and
-/// assembles the set from the final member flags.
+/// election rule, runs it through the composable executor under the
+/// one-entry span plan `phase`, and assembles the set from the final
+/// member flags.
 #[cfg_attr(not(debug_assertions), allow(unused_variables))]
 pub(crate) fn run_cover_stack(
     inst: &Instance<'_>,
     election: Election,
-    span_name: &'static str,
+    phase: Phase,
     what: &str,
     stack: Stack,
 ) -> Result<(PortfolioRun, Option<EventLog>), KmdsError> {
@@ -265,7 +265,7 @@ pub(crate) fn run_cover_stack(
         0,
     )
     .stack(stack)
-    .phases(vec![Phase::repeat(span_name, 3)])
+    .phases(vec![phase])
     .run(budget)?;
     let set = DominatingSet::from_members(run.logics.iter().map(|l| l.member).collect());
     #[cfg(debug_assertions)]
@@ -279,7 +279,7 @@ pub(crate) fn run_cover_stack(
             "{what}: assembled set violates CoverSelf demands"
         );
         if _transported {
-            let (lossless, _) = run_cover_stack(inst, election, span_name, what, Stack::new())?;
+            let (lossless, _) = run_cover_stack(inst, election, phase, what, Stack::new())?;
             crate::audit::loss_transparent(what, &set, &lossless.set);
         }
     }

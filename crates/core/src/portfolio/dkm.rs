@@ -21,7 +21,7 @@
 //! of wider candidacy bids — span values instead of 1-bit beacons.
 
 use crate::{Instance, KmdsError};
-use ftclust_netsim::exec::Stack;
+use ftclust_netsim::exec::{Phase, Stack};
 use ftclust_netsim::EventLog;
 
 use super::cover::{run_cover_stack, Election};
@@ -46,7 +46,7 @@ pub fn run_dkm_stack(
     run_cover_stack(
         inst,
         Election::GreedySpan,
-        "dkm_iter",
+        Phase::repeat("dkm_iter", 3),
         "Deurer–Kuhn–Maus span greedy",
         stack,
     )

@@ -19,7 +19,7 @@
 //! [`super::dkm`]'s, at comparable round counts.
 
 use crate::{Instance, KmdsError};
-use ftclust_netsim::exec::Stack;
+use ftclust_netsim::exec::{Phase, Stack};
 use ftclust_netsim::EventLog;
 
 use super::cover::{run_cover_stack, Election};
@@ -44,7 +44,7 @@ pub fn run_pb_stack(
     run_cover_stack(
         inst,
         Election::LayeredId,
-        "pb_iter",
+        Phase::repeat("pb_iter", 3),
         "Penso–Barbosa layered growth",
         stack,
     )

@@ -257,12 +257,10 @@ pub fn repair_coverage(
     // Detection round: every survivor beacons to all its graph neighbors
     // (it cannot yet know which of them are alive).
     let heartbeat = RepairMsg::Heartbeat.bit_size() as u64;
-    for i in 0..n {
-        if alive[i] {
-            let deg = g.degree(NodeId::new(i as u32)) as u64;
-            messages += deg;
-            message_bits += deg * heartbeat;
-        }
+    for (i, _) in alive.iter().enumerate().filter(|&(_, &up)| up) {
+        let deg = g.degree(NodeId::new(i as u32)) as u64;
+        messages += deg;
+        message_bits += deg * heartbeat;
     }
     let mut rounds = 1u64;
 

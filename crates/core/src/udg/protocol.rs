@@ -171,7 +171,6 @@ impl NodeLogic for UdgNode {
                         }
                     }
                     self.leader = self.active;
-                    self.neighbor_leader = vec![false; ctx.degree()];
                 } else {
                     // Accept promotions from the previous iteration.
                     if inbox.iter().any(|e| matches!(e.payload, UdgMsg::Promote)) {
@@ -310,7 +309,7 @@ pub fn run_udg_stack(
     let _transported = stack.engages_transport();
     let run = Executor::new(
         Topology::from_udg(udg),
-        |_: NodeId| UdgNode {
+        |v: NodeId| UdgNode {
             k: config.k,
             id_mode: config.id_mode,
             promotion: config.promotion,
@@ -322,7 +321,9 @@ pub fn run_udg_stack(
             fixed_drawn: false,
             passive_after: None,
             leader: false,
-            neighbor_leader: Vec::new(),
+            // Sized up front: a node down in round 2·part1 still needs
+            // the cache when it recovers into Part II.
+            neighbor_leader: vec![false; udg.graph().degree(v)],
             my_needy: false,
         },
         config.seed,
@@ -500,6 +501,25 @@ mod tests {
                 rollups.iter().any(|r| r.name == expected),
                 "missing phase {expected}"
             );
+        }
+    }
+
+    #[test]
+    fn node_down_at_the_part_ii_boundary_recovers_without_panicking() {
+        // Regression: the neighbor-status cache was sized only in round
+        // 2·part1 (round 10 here), so a node down in exactly that round
+        // indexed an empty cache once it recovered into Part II.
+        use ftclust_netsim::ChurnPlan;
+        let udg = generators::random_udg(150, 8.0, 1.0, 5);
+        let blip = ChurnPlan::none().crash(NodeId::new(0), 10);
+        let blip = blip.recover(NodeId::new(0), 11);
+        let config = UdgAlgorithm::new(2).seed(5);
+        run_udg_stack(&udg, &config, Stack::new().churned(blip)).expect("run completes");
+        for seed in [5, 29, 101] {
+            let udg = generators::random_udg(150, 8.0, 1.0, seed);
+            let churn = Stack::new().churned(ChurnPlan::none().random_churn(0.02, 0.3));
+            // Random churn may exhaust the round budget, but never panics.
+            let _ = run_udg_stack(&udg, &UdgAlgorithm::new(2).seed(seed), churn);
         }
     }
 }

@@ -206,10 +206,12 @@ impl AdversaryPlan {
     }
 }
 
-/// What the adversary decided for one in-flight message.
+/// What the adversary decided for one in-flight message. The
+/// simulator's merge path also files churn losses under [`Verdict::Cut`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
-    /// A partition window cuts the link: the message is dropped.
+    /// A partition window (or a churn outage or loss draw) cuts the link:
+    /// the message is dropped.
     Cut,
     /// The payload was corrupted in flight: the message is erased and
     /// counted in `Metrics::corrupted`.
@@ -370,7 +372,7 @@ mod tests {
         let verdicts_b: Vec<Verdict> = (0..200).map(|r| b.decide(n(2), n(5), r)).collect();
         assert_eq!(verdicts_a, verdicts_b);
         // Mixed fates at these probabilities over 200 draws.
-        assert!(verdicts_a.iter().any(|v| *v == Verdict::Corrupt));
+        assert!(verdicts_a.contains(&Verdict::Corrupt));
         assert!(verdicts_a.iter().any(|v| matches!(
             v,
             Verdict::Deliver {

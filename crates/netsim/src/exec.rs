@@ -1,11 +1,7 @@
 //! Composable protocol executor: one driver for every layer combination.
 //!
-//! Historically every protocol shipped a hand-written driver per layer
-//! combination (lossy, traced, asynchronous), and the copies drifted:
-//! combinations nobody wrote (lossy **and** traced, churned **and**
-//! lossy under trace) simply did not exist, and shared round arithmetic
-//! was duplicated with subtle differences. The [`Executor`] replaces that matrix with one generic
-//! driver composed from orthogonal layers, selected by a [`Stack`]:
+//! The [`Executor`] is one generic driver composed from orthogonal
+//! layers, selected by a [`Stack`]:
 //!
 //! * **transport** — wrap every node in [`Reliable`] so message loss and
 //!   outage windows are masked by retransmission ([`Stack::lossy`],
@@ -36,19 +32,20 @@
 //!
 //! # Parity
 //!
-//! [`Executor::run`] has two paths, synchronous and transport; tracing
-//! only attaches an [`EventLog`] and walks the [`Phase`] plan on top of
-//! either. An untraced synchronous run executes exactly like
-//! [`Simulator::run`]; a traced one replays the plan precisely the way
-//! the historical hand-written traced drivers bracketed their steps. A
-//! transport run steps the simulator through the transport's own
-//! termination loop; traced, it brackets spans by the transport's
-//! **logical-round frontier** (the largest logical round any node has
-//! completed), so per-phase rollups stay meaningful even though loss
-//! stretches physical time; physical rounds after the last logical
+//! [`Executor::run`] has two paths, synchronous and transport. Both step
+//! the simulator under the same round-limit check as [`Simulator::run`],
+//! and tracing only attaches an [`EventLog`]: one span cursor walks the
+//! [`Phase`] plan along a round frontier on either path, so a traced run
+//! executes (states, metrics, errors) exactly like the untraced one. The
+//! synchronous frontier is the next round to run; the transport's is
+//! its **logical-round frontier** (the largest logical round any node
+//! has completed), so per-phase rollups stay meaningful even though loss
+//! stretches physical time. Physical rounds after the last logical
 //! boundary (ack drains, retransmission tails of the final phase) are
-//! attributed to the still-open final span, and a plan-less traced run
-//! records an unspanned log.
+//! attributed to the still-open final span. A span opens only when a
+//! round will run under it, so a run that quiesces before the plan ends
+//! (every node crashed, say) records no zero-round spans, and a
+//! plan-less traced run records an unspanned log.
 
 use crate::adversary::AdversaryPlan;
 use crate::churn::ChurnPlan;
@@ -397,76 +394,75 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         )
     }
 
-    /// Synchronous path. Untraced, this is exactly `Simulator::run`;
-    /// traced, it replays the phase plan the way the historical
-    /// hand-written traced drivers bracketed their steps, so the run
-    /// (states *and* metrics) is identical to the untraced one.
+    /// Synchronous path: the [`Simulator::run`] loop, with the span
+    /// cursor following the next round to run.
     fn run_sync(mut self, budget: u64) -> Result<Run<L>, SimError> {
-        let churn = self.stack.take_churn();
-        let mut sim = Simulator::with_churn(self.topo, self.make, self.seed, churn);
-        if let Some(plan) = self.stack.adversary {
-            sim.set_adversary(plan);
+        let mut sim = layered_simulator(self.topo, self.make, self.seed, &mut self.stack);
+        let mut cursor = SpanCursor::new(&self.phases, &mut sim);
+        while sim.step() {
+            sim.check_round_limit(budget)?;
+            cursor.advance_to(sim.round() + 1, &mut sim);
         }
-        if self.stack.traced {
-            sim.set_tracer(EventLog::new());
-            replay_phases(&mut sim, &self.phases, budget)?;
-        }
-        // Rounds the plan does not cover (an untraced run, an empty or
-        // partial plan) run to quiescence unspanned; a no-op after a
-        // Loop/Tail plan.
-        sim.run(budget)?;
-        let metrics = sim.metrics().clone();
-        let logical_rounds = metrics.rounds;
-        let log = sim.take_event_log();
-        #[cfg(debug_assertions)]
-        audit_run(&metrics, sim.in_flight_messages(), log.as_ref());
-        Ok(Run {
-            logics: sim.into_logics(),
-            metrics,
-            logical_rounds,
-            log,
-        })
+        cursor.close(&mut sim);
+        let logical_rounds = sim.metrics().rounds;
+        Ok(finish(sim, logical_rounds, |l| l))
     }
 
     /// Transport path: wraps every node in [`Reliable`] and steps the
-    /// simulator through [`transport::drive`]. Traced, it also advances
-    /// the span plan whenever the logical-round frontier crosses a phase
-    /// boundary.
+    /// simulator through [`transport::drive`], with the span cursor
+    /// following the logical-round frontier.
     fn run_transport(mut self, cfg: TransportConfig, logical: u64) -> Result<Run<L>, SimError> {
-        let churn = self.stack.take_churn();
         let make = &mut self.make;
-        let mut sim =
-            Simulator::with_churn(self.topo, |v| Reliable::new(make(v), cfg), self.seed, churn);
-        if let Some(plan) = self.stack.adversary.take() {
-            sim.set_adversary(plan);
-        }
+        let mut sim = layered_simulator(
+            self.topo,
+            |v| Reliable::new(make(v), cfg),
+            self.seed,
+            &mut self.stack,
+        );
+        let mut cursor = SpanCursor::new(&self.phases, &mut sim);
         let budget = cfg.round_budget(logical);
-        let logical_rounds = if self.stack.traced {
-            sim.set_tracer(EventLog::new());
-            let mut cursor = SpanCursor::new(&self.phases);
-            cursor.open_current(&mut sim, 0);
-            let rounds = transport::drive(&mut sim, budget, |sim, frontier| {
-                cursor.advance_to(frontier, sim);
-            })?;
-            cursor.close(&mut sim);
-            rounds
-        } else {
-            transport::drive(&mut sim, budget, |_, _| {})?
-        };
-        let metrics = sim.metrics().clone();
-        let log = sim.take_event_log();
-        #[cfg(debug_assertions)]
-        audit_run(&metrics, sim.in_flight_messages(), log.as_ref());
-        Ok(Run {
-            logics: sim
-                .into_logics()
-                .into_iter()
-                .map(Reliable::into_inner)
-                .collect(),
-            metrics,
-            logical_rounds,
-            log,
-        })
+        let logical_rounds = transport::drive(&mut sim, budget, |sim, frontier| {
+            cursor.advance_to(frontier, sim);
+        })?;
+        cursor.close(&mut sim);
+        Ok(finish(sim, logical_rounds, Reliable::into_inner))
+    }
+}
+
+/// A simulator over `make`'s nodes with the stack's churn, adversary and
+/// tracing layers engaged.
+fn layered_simulator<'a, M: NodeLogic>(
+    topo: Topology<'a>,
+    make: impl FnMut(NodeId) -> M,
+    seed: u64,
+    stack: &mut Stack,
+) -> Simulator<'a, M> {
+    let mut sim = Simulator::with_churn(topo, make, seed, stack.take_churn());
+    if let Some(plan) = stack.adversary.take() {
+        sim.set_adversary(plan);
+    }
+    if stack.traced {
+        sim.start_trace();
+    }
+    sim
+}
+
+/// Audits a finished run (debug builds) and assembles its [`Run`],
+/// mapping each node's final state through `unwrap`.
+fn finish<M: NodeLogic, L>(
+    mut sim: Simulator<'_, M>,
+    logical_rounds: u64,
+    unwrap: impl FnMut(M) -> L,
+) -> Run<L> {
+    let metrics = sim.metrics().clone();
+    let log = sim.take_event_log();
+    #[cfg(debug_assertions)]
+    audit_run(&metrics, sim.in_flight_messages(), log.as_ref());
+    Run {
+        logics: sim.into_logics().into_iter().map(unwrap).collect(),
+        metrics,
+        logical_rounds,
+        log,
     }
 }
 
@@ -488,69 +484,6 @@ fn audit_run(metrics: &Metrics, in_flight: u64, log: Option<&EventLog>) {
             "trace rollups diverged from Metrics: {reconciled:?}"
         );
     }
-}
-
-/// Walks a [`Phase`] plan on a synchronous simulator, bracketing each
-/// phase's steps in its span.
-fn replay_phases<M: NodeLogic>(
-    sim: &mut Simulator<'_, M>,
-    phases: &[Phase],
-    budget: u64,
-) -> Result<(), SimError> {
-    for phase in phases {
-        match *phase {
-            Phase::Span { name, arg, rounds } => {
-                enter(sim, name, arg);
-                for _ in 0..rounds {
-                    sim.step();
-                }
-                exit(sim, name, arg);
-            }
-            Phase::Loop { name, rounds } => {
-                let mut iter = 0u64;
-                while !sim.is_quiescent() {
-                    check_budget(sim, budget)?;
-                    enter(sim, name, Some(iter));
-                    for _ in 0..rounds {
-                        sim.step();
-                    }
-                    exit(sim, name, Some(iter));
-                    iter += 1;
-                }
-            }
-            Phase::Tail { name } => {
-                enter(sim, name, None);
-                sim.run(budget)?;
-                exit(sim, name, None);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Opens a span; the name comes from a [`Phase`] plan already validated
-/// against the registry by [`validate_phases`].
-fn enter<M: NodeLogic>(sim: &mut Simulator<'_, M>, name: &'static str, arg: Option<u64>) {
-    sim.span_enter(name, arg); // lint: span-name-not-literal — plan names are asserted against REGISTERED_SPANS in validate_phases
-}
-
-/// Closes a span opened by [`enter`].
-fn exit<M: NodeLogic>(sim: &mut Simulator<'_, M>, name: &'static str, arg: Option<u64>) {
-    sim.span_exit(name, arg); // lint: span-name-not-literal — plan names are asserted against REGISTERED_SPANS in validate_phases
-}
-
-/// The round-limit check shared by the traced synchronous paths,
-/// identical to the historical drivers' inline checks.
-fn check_budget<M: NodeLogic>(sim: &Simulator<'_, M>, limit: u64) -> Result<(), SimError> {
-    if sim.round() >= limit && !sim.is_quiescent() {
-        return Err(SimError::RoundLimitExceeded {
-            limit,
-            round: sim.round(),
-            still_running: sim.running_count(),
-            in_flight: sim.in_flight_messages(),
-        });
-    }
-    Ok(())
 }
 
 /// Rejects malformed phase plans: unregistered span names, zero-round
@@ -583,12 +516,15 @@ fn validate_phases(phases: &[Phase]) {
     }
 }
 
-/// Walks a [`Phase`] plan along the transport's logical-round frontier
-/// (the traced transport path): each phase owns a contiguous range of
-/// logical rounds, and the cursor exits/enters spans when the frontier
-/// **passes** a boundary — i.e. once some node has executed a logical
-/// round beyond it — so the final span is never followed by a spurious
-/// empty one when the run ends exactly on a boundary.
+/// Walks a [`Phase`] plan along a round frontier — the one walker behind
+/// both executor paths. Each phase owns a contiguous range of logical
+/// rounds `[start, end)`, and the cursor exits/enters spans once the
+/// frontier **passes** `end`. The synchronous path passes the next round
+/// to run plus one, so a span switches exactly when that round belongs
+/// to the next phase; the transport path passes its logical-round
+/// frontier, so a span switches once some node has executed a round past
+/// the boundary. A span opens only while the network is not quiescent,
+/// i.e. when a round will run under it.
 struct SpanCursor<'p> {
     phases: &'p [Phase],
     /// Index of the phase owning the current segment.
@@ -603,51 +539,48 @@ struct SpanCursor<'p> {
 }
 
 impl<'p> SpanCursor<'p> {
-    fn new(phases: &'p [Phase]) -> Self {
-        SpanCursor {
+    /// A cursor at the start of `phases`, with the first span open unless
+    /// the network is already quiescent.
+    fn new<M: NodeLogic>(phases: &'p [Phase], sim: &mut Simulator<'_, M>) -> Self {
+        let mut cursor = SpanCursor {
             phases,
             idx: 0,
             loop_iter: 0,
             open: None,
             end: u64::MAX,
+        };
+        if !sim.is_quiescent() {
+            cursor.open_current(sim, 0);
         }
+        cursor
     }
 
     /// Opens the span of the phase at `idx`, whose segment begins at
     /// logical round `start`. No-op past the end of the plan.
     fn open_current<M: NodeLogic>(&mut self, sim: &mut Simulator<'_, M>, start: u64) {
-        match self.phases.get(self.idx) {
+        let (name, arg, rounds) = match self.phases.get(self.idx) {
             None => {
-                self.open = None;
                 self.end = u64::MAX;
+                return;
             }
-            Some(&Phase::Span { name, arg, rounds }) => {
-                enter(sim, name, arg);
-                self.open = Some((name, arg));
-                self.end = start.saturating_add(rounds);
-            }
-            Some(&Phase::Loop { name, rounds }) => {
-                let arg = Some(self.loop_iter);
-                enter(sim, name, arg);
-                self.open = Some((name, arg));
-                self.end = start.saturating_add(rounds);
-            }
-            Some(&Phase::Tail { name }) => {
-                enter(sim, name, None);
-                self.open = Some((name, None));
-                self.end = u64::MAX;
-            }
-        }
+            Some(&Phase::Span { name, arg, rounds }) => (name, arg, Some(rounds)),
+            Some(&Phase::Loop { name, rounds }) => (name, Some(self.loop_iter), Some(rounds)),
+            Some(&Phase::Tail { name }) => (name, None, None),
+        };
+        sim.span_enter(name, arg);
+        self.open = Some((name, arg));
+        self.end = rounds.map_or(u64::MAX, |r| start.saturating_add(r));
     }
 
-    /// Advances past every segment whose rounds the frontier has fully
-    /// left behind (strictly passed), closing and opening spans.
+    /// Advances past every segment the frontier has strictly passed,
+    /// closing and opening spans; a quiescent network opens none.
     fn advance_to<M: NodeLogic>(&mut self, frontier: u64, sim: &mut Simulator<'_, M>) {
+        if sim.is_quiescent() {
+            return;
+        }
         while frontier > self.end {
             let boundary = self.end;
-            if let Some((name, arg)) = self.open.take() {
-                exit(sim, name, arg);
-            }
+            self.close(sim);
             if let Some(Phase::Loop { .. }) = self.phases.get(self.idx) {
                 self.loop_iter += 1;
             } else {
@@ -657,10 +590,10 @@ impl<'p> SpanCursor<'p> {
         }
     }
 
-    /// Closes the span left open when the run ended.
+    /// Closes the open span, if any.
     fn close<M: NodeLogic>(&mut self, sim: &mut Simulator<'_, M>) {
         if let Some((name, arg)) = self.open.take() {
-            exit(sim, name, arg);
+            sim.span_exit(name, arg);
         }
     }
 }
@@ -696,7 +629,7 @@ pub fn completed_iterations(logical_rounds: u64, prelude: u64, period: u64, trai
     );
     let body = logical_rounds.saturating_sub(prelude + trailing);
     debug_assert!(
-        logical_rounds == 0 || body % period == 0,
+        logical_rounds == 0 || body.is_multiple_of(period),
         "iteration body of {body} rounds is not a multiple of the {period}-round period"
     );
     u32::try_from(body / period).unwrap_or(u32::MAX)
@@ -705,6 +638,7 @@ pub fn completed_iterations(logical_rounds: u64, prelude: u64, period: u64, trai
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
     use crate::{bits_for_ids, Context, Control, Envelope, Payload};
     use ftclust_graphs::generators;
     use rand::Rng;
@@ -867,6 +801,7 @@ mod tests {
         let g = generators::cycle(4);
         let _ = Executor::new(Topology::from_graph(&g), flood, 0)
             .stack(Stack::new().traced())
+            // lint: span-name-unregistered — the test checks that the executor rejects it
             .phases(vec![Phase::span("bogus_phase", 1)])
             .run(10);
     }
@@ -901,6 +836,52 @@ mod tests {
         let _ = Executor::new(Topology::from_graph(&g), flood, 0)
             .stack(Stack::new().transport(TransportConfig::default()))
             .run_async(2, 10);
+    }
+
+    /// The number of spans `log` opens, asserting each covers a round.
+    fn spans_covering_rounds(log: &EventLog) -> usize {
+        let (mut spans, mut rounds) = (0, 0);
+        for r in &log.records {
+            match r.event {
+                TraceEvent::SpanEnter { .. } => (spans, rounds) = (spans + 1, 0),
+                TraceEvent::RoundBegin => rounds += 1,
+                TraceEvent::SpanExit { name, .. } => {
+                    assert!(rounds > 0, "zero-round span {name} at round {}", r.round);
+                }
+                _ => {}
+            }
+        }
+        spans
+    }
+
+    #[test]
+    fn quiesced_runs_record_no_zero_round_spans() {
+        let g = generators::gnp(12, 0.3, 4);
+        let plan = vec![
+            Phase::span("dyndeg", 2),
+            Phase::span("raise", 2),
+            Phase::span("threshold", 2),
+            Phase::tail("dual_exchange"),
+        ];
+        let crash_all = |round| g.nodes().fold(ChurnPlan::none(), |p, v| p.crash(v, round));
+        for stack in [
+            Stack::new(),
+            Stack::new().transport(TransportConfig::default()),
+        ] {
+            let spans = |crash_round| {
+                let run = Executor::new(Topology::from_graph(&g), flood, 3)
+                    .stack(stack.clone().churned(crash_all(crash_round)).traced())
+                    .phases(plan.clone())
+                    .run(40)
+                    .unwrap();
+                spans_covering_rounds(&run.log.expect("traced run records a log"))
+            };
+            // Everyone down from the start: no round runs, no span opens.
+            assert_eq!(spans(0), 0, "{stack:?}");
+            // Everyone down in round 3: `raise` is cut short, and the
+            // phases no round reaches are not recorded.
+            assert_eq!(spans(3), 2, "{stack:?}");
+        }
     }
 
     #[test]

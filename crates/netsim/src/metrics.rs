@@ -116,10 +116,11 @@ impl Metrics {
     /// minus transport duplicates. With a reliable transport in play the
     /// conservation law refines to `messages == unique_delivered() +
     /// duplicates_suppressed + dropped_messages + dead_on_arrival +
-    /// corrupted + in-flight`, with `duplicates_suppressed <= retransmits
-    /// + net_duplicated` (only a retransmission or an adversary-injected
-    /// clone can produce a duplicate) and `retransmits + acks <=
-    /// messages` (both kinds of overhead frame are ordinary sends).
+    /// corrupted + in-flight`, with
+    /// `duplicates_suppressed <= retransmits + net_duplicated` (only a
+    /// retransmission or an adversary-injected clone can produce a
+    /// duplicate) and `retransmits + acks <= messages` (both kinds of
+    /// overhead frame are ordinary sends).
     ///
     /// Every duplicate is counted as delivered in the same round it is
     /// suppressed ([`crate::Context`]'s `note_duplicate_suppressed` is
@@ -297,7 +298,7 @@ impl Metrics {
         }
         // The open bucket absorbed its (full) left neighbor iff the old
         // length was even.
-        if old_len % 2 == 0 {
+        if old_len.is_multiple_of(2) {
             self.rounds_in_last += self.per_round_resolution;
         }
         self.per_round_resolution *= 2;

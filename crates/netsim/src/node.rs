@@ -57,8 +57,8 @@ pub struct Context<'a, P> {
     /// Transport-layer event counters for this worker shard, folded into
     /// [`crate::Metrics`] on the sequential merge path.
     pub(crate) transport: &'a mut TransportCounters,
-    /// Whether a recording tracer is attached (hoisted so the `note_*`
-    /// hot paths pay one branch, not a virtual call).
+    /// Whether the simulator records an event log (hoisted so the
+    /// `note_*` hot paths pay one branch).
     pub(crate) tracing: bool,
     /// Per-worker-shard trace event buffer; the simulator drains the
     /// buffers in shard index order on the sequential merge path, so

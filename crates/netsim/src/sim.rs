@@ -2,14 +2,14 @@ use crate::adversary::{AdversaryPlan, AdversaryState, Verdict};
 use crate::arena::{DeliverySorter, InboxArena};
 use crate::metrics::TransportCounters;
 use crate::node::Context;
-use crate::trace::{EventLog, NoopTracer, TraceEvent, Tracer};
+use crate::trace::{EventLog, TraceEvent};
 use crate::{ChurnEvent, ChurnPlan, Control, Envelope, Metrics, NodeLogic, SimError, Topology};
 use ftclust_graphs::NodeId;
 use ftclust_par as par;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// SplitMix64 finalizer — mixes a master seed with a node id into an
+/// `SplitMix64` finalizer — mixes a master seed with a node id into an
 /// independent stream seed (also the mixing primitive behind the
 /// adversary's per-link streams, see [`crate::adversary`]).
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
@@ -44,8 +44,8 @@ struct StepShard<'t, L: NodeLogic> {
     /// [`Metrics`] sequentially after the parallel phase (sums are
     /// commutative, so the fold order cannot perturb determinism).
     counters: &'t mut TransportCounters,
-    /// Trace events noted by this shard's nodes; drained into the tracer
-    /// sequentially after the parallel phase, in shard index order —
+    /// Trace events noted by this shard's nodes; drained into the event
+    /// log sequentially after the parallel phase, in shard index order —
     /// shards are contiguous ascending node ranges, so the merged stream
     /// is in node order regardless of the worker count.
     trace: &'t mut Vec<TraceEvent>,
@@ -98,8 +98,8 @@ struct StepShard<'t, L: NodeLogic> {
 /// itself demands. See `DESIGN.md` §12.
 pub struct Simulator<'a, L: NodeLogic> {
     topo: Topology<'a>,
-    /// Per-node protocol state, indexed by node id (SoA with `rngs` and
-    /// `running`).
+    /// Per-node protocol state, indexed by node id (struct-of-arrays
+    /// with `rngs` and `running`).
     logics: Vec<L>,
     /// Per-node private random streams ([`node_rng`]).
     rngs: Vec<StdRng>,
@@ -123,9 +123,9 @@ pub struct Simulator<'a, L: NodeLogic> {
     tcounters: Vec<TransportCounters>,
     /// Recycled per-worker trace event buffers (drained each round).
     tbufs: Vec<Vec<TraceEvent>>,
-    /// Structured-trace sink; [`NoopTracer`] (reporting disabled) unless
-    /// [`Simulator::set_tracer`] attached a recorder.
-    tracer: Box<dyn Tracer>,
+    /// The structured trace, recorded only once
+    /// [`Simulator::start_trace`] attached it.
+    log: Option<EventLog>,
     metrics: Metrics,
     churn: ChurnPlan,
     /// `churn`'s scheduled events, sorted by round; `next_event` is the
@@ -195,7 +195,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             outboxes: Vec::new(),
             tcounters: Vec::new(),
             tbufs: Vec::new(),
-            tracer: Box::new(NoopTracer),
+            log: None,
             metrics: Metrics::default(),
             churn,
             events,
@@ -286,7 +286,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// Same-round events apply in plan order (later entries win). Events
     /// naming out-of-range nodes are ignored.
     fn apply_scheduled_churn(&mut self) {
-        let tracing = self.tracer.enabled();
         while let Some(&(r, v, ev)) = self.events.get(self.next_event) {
             if r > self.round {
                 break;
@@ -295,8 +294,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             if v.index() < self.down.len() {
                 let now_down = ev == ChurnEvent::Crash;
                 if self.down[v.index()] != now_down {
-                    if tracing {
-                        self.tracer.record(
+                    if let Some(log) = &mut self.log {
+                        log.record(
                             self.round,
                             if now_down {
                                 TraceEvent::Crash { node: v }
@@ -324,7 +323,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         let Some(rc) = self.churn.random() else {
             return;
         };
-        let tracing = self.tracer.enabled();
         for (i, down) in self.down.iter_mut().enumerate() {
             let draw = self.fault_rng.random::<f64>();
             let was = *down;
@@ -339,9 +337,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 } else {
                     self.down_count -= 1;
                 }
-                if tracing {
+                if let Some(log) = &mut self.log {
                     let node = NodeId::new(i as u32);
-                    self.tracer.record(
+                    log.record(
                         self.round,
                         if *down {
                             TraceEvent::Crash { node }
@@ -379,13 +377,12 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         }
         let round = self.round;
         let n = self.logics.len();
-        // Hoisted once per round: every trace emission below is behind
-        // this single boolean, so the no-op tracer costs one branch per
-        // event site and constructs no events.
-        let tracing = self.tracer.enabled();
+        // Hoisted once per round for the fast-path decisions below; an
+        // untraced run constructs no events.
+        let tracing = self.log.is_some();
         let (msgs_before, bits_before) = (self.metrics.messages, self.metrics.total_bits);
-        if tracing {
-            self.tracer.record(round, TraceEvent::RoundBegin);
+        if let Some(log) = &mut self.log {
+            log.record(round, TraceEvent::RoundBegin);
         }
         // Phase 0: churn. Strictly sequential and ahead of node logic, so
         // every thread sees the same frozen liveness for this round.
@@ -408,8 +405,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     // Receiver went down between send and delivery. Its
                     // inbox slice is never read (down nodes don't run).
                     self.metrics.dead_on_arrival += count;
-                    if tracing {
-                        self.tracer.record(
+                    if let Some(log) = &mut self.log {
+                        log.record(
                             round,
                             TraceEvent::DeadOnArrival {
                                 node: NodeId::new(i as u32),
@@ -419,8 +416,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     }
                 } else {
                     self.metrics.delivered_messages += count;
-                    if tracing {
-                        self.tracer.record(
+                    if let Some(log) = &mut self.log {
+                        log.record(
                             round,
                             TraceEvent::Deliver {
                                 node: NodeId::new(i as u32),
@@ -520,11 +517,10 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         // Drain the per-shard trace buffers in shard index order: shards
         // are contiguous ascending node ranges, so the merged event
         // stream is in node order for every worker count.
-        if tracing {
-            let tracer = &mut self.tracer;
+        if let Some(log) = &mut self.log {
             for buf in &mut self.tbufs[..shard_count] {
                 for ev in buf.drain(..) {
-                    tracer.record(round, ev);
+                    log.record(round, ev);
                 }
             }
         }
@@ -562,8 +558,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 for env in outbox.drain(..) {
                     let bits = crate::Payload::bit_size(&env.payload);
                     self.metrics.record_send(bits);
-                    if tracing {
-                        self.tracer.record(
+                    if let Some(log) = &mut self.log {
+                        log.record(
                             round,
                             TraceEvent::Send {
                                 from: env.from,
@@ -572,111 +568,93 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                             },
                         );
                     }
-                    if self.churn.link_down(env.from, env.to, round) {
-                        self.metrics.dropped_messages += 1;
-                        if tracing {
-                            self.tracer.record(
-                                round,
-                                TraceEvent::Drop {
-                                    from: env.from,
-                                    to: env.to,
-                                },
-                            );
-                        }
-                        continue;
-                    }
-                    if self.churn.drop_prob() > 0.0
-                        && self.fault_rng.random::<f64>() < self.churn.drop_prob()
+                    // Churn first: an outage drops the envelope without a
+                    // draw from the fault stream, otherwise loss draws
+                    // exactly once. Adversarial delivery faults apply to
+                    // the survivors, drawn per-link in the same global
+                    // sender order.
+                    let verdict = if self.churn.link_down(env.from, env.to, round)
+                        || (self.churn.drop_prob() > 0.0
+                            && self.fault_rng.random::<f64>() < self.churn.drop_prob())
                     {
-                        self.metrics.dropped_messages += 1;
-                        if tracing {
-                            self.tracer.record(
-                                round,
-                                TraceEvent::Drop {
-                                    from: env.from,
-                                    to: env.to,
-                                },
-                            );
+                        Verdict::Cut
+                    } else if let Some(adv) = &mut self.adversary {
+                        adv.decide(env.from, env.to, round)
+                    } else {
+                        Verdict::Deliver {
+                            duplicate: false,
+                            delay: 0,
                         }
-                        continue;
-                    }
-                    // Adversarial delivery faults apply to the envelopes
-                    // that survived churn, drawn per-link in the same
-                    // global sender order.
-                    if let Some(adv) = &mut self.adversary {
-                        match adv.decide(env.from, env.to, round) {
-                            Verdict::Cut => {
-                                self.metrics.dropped_messages += 1;
-                                if tracing {
-                                    self.tracer.record(
+                    };
+                    match verdict {
+                        Verdict::Cut => {
+                            self.metrics.dropped_messages += 1;
+                            if let Some(log) = &mut self.log {
+                                log.record(
+                                    round,
+                                    TraceEvent::Drop {
+                                        from: env.from,
+                                        to: env.to,
+                                    },
+                                );
+                            }
+                        }
+                        Verdict::Corrupt => {
+                            // The receiver's frame checksum detects the
+                            // flipped bits and erases the frame:
+                            // loss-shaped, but accounted separately.
+                            self.metrics.corrupted += 1;
+                            if let Some(log) = &mut self.log {
+                                log.record(
+                                    round,
+                                    TraceEvent::Corrupted {
+                                        from: env.from,
+                                        to: env.to,
+                                    },
+                                );
+                            }
+                        }
+                        Verdict::Deliver { duplicate, delay } => {
+                            if duplicate {
+                                // The extra copy is real metered wire
+                                // traffic; it rides on time even when the
+                                // original is jittered.
+                                let copy = env.clone();
+                                self.metrics.record_send(bits);
+                                self.metrics.net_duplicated += 1;
+                                if let Some(log) = &mut self.log {
+                                    log.record(
                                         round,
-                                        TraceEvent::Drop {
-                                            from: env.from,
-                                            to: env.to,
+                                        TraceEvent::Send {
+                                            from: copy.from,
+                                            to: copy.to,
+                                            bits: bits as u64,
+                                        },
+                                    );
+                                    log.record(
+                                        round,
+                                        TraceEvent::NetDuplicated {
+                                            from: copy.from,
+                                            to: copy.to,
                                         },
                                     );
                                 }
-                                continue;
+                                self.sorter.push(copy);
                             }
-                            Verdict::Corrupt => {
-                                // The receiver's frame checksum detects
-                                // the flipped bits and erases the frame:
-                                // loss-shaped, but accounted separately.
-                                self.metrics.corrupted += 1;
-                                if tracing {
-                                    self.tracer.record(
-                                        round,
-                                        TraceEvent::Corrupted {
-                                            from: env.from,
-                                            to: env.to,
-                                        },
-                                    );
-                                }
-                                continue;
-                            }
-                            Verdict::Deliver { duplicate, delay } => {
-                                if duplicate {
-                                    // The extra copy is real metered wire
-                                    // traffic; it rides on time even when
-                                    // the original is jittered.
-                                    let copy = env.clone();
-                                    self.metrics.record_send(bits);
-                                    self.metrics.net_duplicated += 1;
-                                    if tracing {
-                                        self.tracer.record(
-                                            round,
-                                            TraceEvent::Send {
-                                                from: copy.from,
-                                                to: copy.to,
-                                                bits: bits as u64,
-                                            },
-                                        );
-                                        self.tracer.record(
-                                            round,
-                                            TraceEvent::NetDuplicated {
-                                                from: copy.from,
-                                                to: copy.to,
-                                            },
-                                        );
-                                    }
-                                    self.sorter.push(copy);
-                                }
-                                if delay > 0 {
-                                    adv.push_delayed(round + delay, env);
-                                    continue;
-                                }
+                            match &mut self.adversary {
+                                Some(adv) if delay > 0 => adv.push_delayed(round + delay, env),
+                                _ => self.sorter.push(env),
                             }
                         }
                     }
-                    self.sorter.push(env);
                 }
             }
         }
         // Phase 3: counting-sort the staged survivors by recipient into
         // the next round's contiguous arena and refresh caches.
         self.sorter.finish(n, &mut self.pending);
-        if tracing {
-            self.tracer.record(
+        if let Some(log) = &mut self.log {
+            log.record(
                 round,
                 TraceEvent::RoundEnd {
                     messages: self.metrics.messages - msgs_before,
@@ -697,16 +675,24 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// quiesced after `max_rounds` rounds.
     pub fn run(&mut self, max_rounds: u64) -> Result<&Metrics, SimError> {
         while self.step() {
-            if self.round >= max_rounds && !self.is_quiescent() {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    round: self.round,
-                    still_running: self.running_count(),
-                    in_flight: self.in_flight_messages(),
-                });
-            }
+            self.check_round_limit(max_rounds)?;
         }
         Ok(&self.metrics)
+    }
+
+    /// The round-limit check shared by [`Simulator::run`] and both
+    /// executor paths: [`SimError::RoundLimitExceeded`] once `limit`
+    /// rounds have run and the network is still not quiescent.
+    pub(crate) fn check_round_limit(&self, limit: u64) -> Result<(), SimError> {
+        if self.round < limit || self.quiescent {
+            return Ok(());
+        }
+        Err(SimError::RoundLimitExceeded {
+            limit,
+            round: self.round,
+            still_running: self.running_count(),
+            in_flight: self.in_flight_messages(),
+        })
     }
 
     /// The protocol state of node `v` (e.g. to read out the result after a
@@ -735,34 +721,24 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         &self.metrics
     }
 
-    /// Attaches a tracer (normally a recording
-    /// [`EventLog`](crate::trace::EventLog)), replacing the default
-    /// no-op tracer.
+    /// Starts recording an [`EventLog`] of every event from now on.
     ///
-    /// Round-0 scheduled churn is applied at construction, before any
-    /// tracer can observe it, so if the attached tracer is enabled a
-    /// baseline [`TraceEvent::Crash`] is emitted for every node that is
-    /// already down — the recorded trace is self-contained.
-    pub fn set_tracer<T: Tracer + 'static>(&mut self, tracer: T) {
-        self.tracer = Box::new(tracer);
-        if self.tracer.enabled() {
-            for (i, &down) in self.down.iter().enumerate() {
-                if down {
-                    self.tracer.record(
-                        self.round,
-                        TraceEvent::Crash {
-                            node: NodeId::new(i as u32),
-                        },
-                    );
-                }
-            }
+    /// Round-0 scheduled churn is applied at construction, before the log
+    /// exists, so a baseline [`TraceEvent::Crash`] is recorded for every
+    /// node that is already down — the recorded trace is self-contained.
+    pub fn start_trace(&mut self) {
+        let mut log = EventLog::new();
+        for (i, _) in self.down.iter().enumerate().filter(|&(_, &down)| down) {
+            let node = NodeId::new(i as u32);
+            log.record(self.round, TraceEvent::Crash { node });
         }
+        self.log = Some(log);
     }
 
-    /// Takes the recorded event log out of the attached tracer, if it
-    /// keeps one (`None` for the default no-op tracer).
+    /// Takes the recorded event log (`None` unless
+    /// [`Simulator::start_trace`] was called).
     pub fn take_event_log(&mut self) -> Option<EventLog> {
-        self.tracer.take_log()
+        self.log.take()
     }
 
     /// Attaches an adversarial delivery layer (see [`crate::adversary`]):
@@ -779,26 +755,20 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         }
     }
 
-    /// Opens a named protocol phase span at the current round. Protocol
-    /// drivers bracket groups of [`Simulator::step`] calls with
-    /// `span_enter`/`span_exit` so per-phase rollups can attribute
-    /// rounds, messages and bits; span names must come from
-    /// [`crate::trace::REGISTERED_SPANS`] (enforced by `cargo xtask
-    /// lint`). No-op when no recording tracer is attached.
-    pub fn span_enter(&mut self, name: &'static str, arg: Option<u64>) {
-        if self.tracer.enabled() {
-            self.tracer
-                .record(self.round, TraceEvent::SpanEnter { name, arg });
+    /// Opens a named protocol phase span at the current round; only the
+    /// executor's span cursor calls this, with a name from a validated
+    /// [`Phase`](crate::exec::Phase) plan. No-op on an untraced run.
+    pub(crate) fn span_enter(&mut self, name: &'static str, arg: Option<u64>) {
+        if let Some(log) = &mut self.log {
+            log.record(self.round, TraceEvent::SpanEnter { name, arg });
         }
     }
 
-    /// Closes the innermost open phase span (see
-    /// [`Simulator::span_enter`]); `name`/`arg` must mirror the matching
-    /// enter.
-    pub fn span_exit(&mut self, name: &'static str, arg: Option<u64>) {
-        if self.tracer.enabled() {
-            self.tracer
-                .record(self.round, TraceEvent::SpanExit { name, arg });
+    /// Closes the innermost open phase span; `name`/`arg` mirror the
+    /// matching [`Simulator::span_enter`].
+    pub(crate) fn span_exit(&mut self, name: &'static str, arg: Option<u64>) {
+        if let Some(log) = &mut self.log {
+            log.record(self.round, TraceEvent::SpanExit { name, arg });
         }
     }
 
@@ -1309,7 +1279,7 @@ mod tests {
                     .drop_probability(0.1);
                 let mut sim =
                     Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 8 }, 13, churn);
-                sim.set_tracer(EventLog::new());
+                sim.start_trace();
                 let _ = sim.run(200);
                 let m = sim.metrics().clone();
                 let log = sim.take_event_log().unwrap();
@@ -1341,7 +1311,7 @@ mod tests {
             let mut sim =
                 Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 5 }, 4, faults);
             if traced {
-                sim.set_tracer(EventLog::new());
+                sim.start_trace();
             }
             sim.run(100).unwrap();
             let seen: Vec<u64> = sim.logics().map(|l| l.seen).collect();
@@ -1352,8 +1322,8 @@ mod tests {
 
     #[test]
     fn trace_records_churn_transitions_and_baseline() {
-        // Node 0 is down from construction (round-0 crash): the tracer
-        // attaches afterwards, so it must see a synthesized baseline
+        // Node 0 is down from construction (round-0 crash): the trace
+        // starts afterwards, so it must see a synthesized baseline
         // crash. Node 1 crashes at round 1 and recovers at round 3: both
         // transitions must be recorded, each exactly once.
         let g = generators::path(3);
@@ -1363,7 +1333,7 @@ mod tests {
             .crash(NodeId::new(1), 1)
             .recover(NodeId::new(1), 3);
         let mut sim = Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 5 }, 0, churn);
-        sim.set_tracer(EventLog::new());
+        sim.start_trace();
         sim.run(100).unwrap();
         let log = sim.take_event_log().unwrap();
         log.reconcile(sim.metrics()).unwrap();
@@ -1399,7 +1369,7 @@ mod tests {
             },
             0,
         );
-        sim.set_tracer(EventLog::new());
+        sim.start_trace();
         sim.span_enter("raise", Some(0));
         sim.step();
         sim.span_exit("raise", Some(0));

@@ -57,7 +57,7 @@
 use crate::metrics::TransportCounters;
 use crate::node::Context;
 use crate::sim::node_rng;
-use crate::trace::{EventLog, TraceEvent, Tracer};
+use crate::trace::{EventLog, TraceEvent};
 use crate::{Control, Envelope, NodeLogic, SimError, Topology};
 use ftclust_graphs::NodeId;
 use rand::rngs::StdRng;

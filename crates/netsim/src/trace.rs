@@ -1,12 +1,14 @@
 //! Deterministic structured tracing: typed events, phase spans, exporters.
 //!
 //! The simulator's aggregate [`Metrics`] answer *how much*
-//! a run cost; this module answers *where* the cost went. A [`Tracer`]
-//! attached to a [`Simulator`](crate::Simulator) receives a stream of
-//! typed [`TraceEvent`]s stamped with **logical time only** (the CONGEST
-//! round number — never a wall clock), so a recorded [`EventLog`] is a
+//! a run cost; this module answers *where* the cost went. A
+//! [`Simulator`](crate::Simulator) with an attached [`EventLog`] records a
+//! stream of typed [`TraceEvent`]s stamped with **logical time only** (the
+//! CONGEST round number — never a wall clock), so a recorded log is a
 //! pure function of `(topology, logic, seed, schedule)` and is
-//! byte-identical across `FTCLUST_THREADS` settings.
+//! byte-identical across `FTCLUST_THREADS` settings. The simulator holds
+//! an `Option<EventLog>`; the α-synchronizer records its pulses into the
+//! same type.
 //!
 //! # Determinism discipline
 //!
@@ -17,15 +19,14 @@
 //! [`Context`](crate::Context)) go to per-worker buffers that the
 //! simulator drains in shard index order after the parallel phase — the
 //! same merge discipline `TransportCounters` uses — so the interleaving
-//! observed by the tracer never depends on the worker count.
+//! in the log never depends on the worker count.
 //!
 //! # Overhead when disabled
 //!
-//! The default [`NoopTracer`] reports `enabled() == false`; every
-//! emission site checks that single boolean (hoisted once per round on
-//! the hot paths), so a simulator without an attached recorder does no
-//! per-message work. The perf baseline (`exp_perf_baseline`) runs with
-//! the no-op tracer and guards against regressions.
+//! Without a log every emission site costs one `Option` check (hoisted
+//! once per round on the hot paths) and constructs no events. The
+//! `netsim.trace.overhead_ratio` row of the repository benchmark
+//! (`perfbench`) reports what recording costs on each workload.
 //!
 //! # Exporters
 //!
@@ -43,14 +44,14 @@ use crate::metrics::Metrics;
 use ftclust_graphs::NodeId;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::mem;
 use std::path::Path;
 
-/// Phase-span names that protocol drivers are allowed to emit.
+/// Phase-span names that protocol span plans are allowed to use.
 ///
-/// `cargo xtask lint` extracts this list and checks every
-/// `span_enter`/`span_exit` call site in the protocol modules against
-/// it, so a renamed phase cannot silently fork the trace vocabulary.
+/// `cargo xtask lint` extracts this list and checks the name literal of
+/// every `Phase::{span, indexed, repeat, tail}` call in the protocol
+/// modules against it, so a renamed phase cannot silently fork the
+/// trace vocabulary; the executor asserts the same at run time.
 pub const REGISTERED_SPANS: &[&str] = &[
     // Algorithm 1 (fractional LP): round 0 dynamic-degree seeding, then
     // per-iteration raise (phase A) and threshold/dual accounting
@@ -212,54 +213,11 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Sink for trace events. Implementations must be deterministic
-/// functions of the event stream — no wall-clock reads, no I/O on the
-/// recording path.
-pub trait Tracer: Send {
-    /// Whether events should be produced at all. Emission sites check
-    /// this once per round and skip all event construction when false.
-    fn enabled(&self) -> bool;
-
-    /// Records one event at logical time `round`.
-    fn record(&mut self, round: u64, event: TraceEvent);
-
-    /// Takes the recorded log out of the tracer, if it keeps one.
-    fn take_log(&mut self) -> Option<EventLog> {
-        None
-    }
-}
-
-/// The default tracer: discards everything, reports disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _round: u64, _event: TraceEvent) {}
-}
-
-/// A recording tracer: an append-only, ordered log of trace records.
+/// An append-only, ordered log of trace records.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventLog {
     /// The recorded events, in emission order.
     pub records: Vec<TraceRecord>,
-}
-
-impl Tracer for EventLog {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, round: u64, event: TraceEvent) {
-        self.records.push(TraceRecord { round, event });
-    }
-
-    fn take_log(&mut self) -> Option<EventLog> {
-        Some(mem::take(self))
-    }
 }
 
 /// Per-phase aggregate derived from an [`EventLog`]: everything that
@@ -287,6 +245,11 @@ impl EventLog {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Records one event at logical time `round`.
+    pub fn record(&mut self, round: u64, event: TraceEvent) {
+        self.records.push(TraceRecord { round, event });
     }
 
     /// Number of recorded events.
@@ -799,22 +762,6 @@ mod tests {
         assert_eq!(s.matches("\"ph\":\"C\"").count(), 2);
         assert!(s.starts_with("{\"traceEvents\":["));
         assert!(s.trim_end().ends_with("]}"));
-    }
-
-    #[test]
-    fn noop_tracer_is_disabled_and_keeps_no_log() {
-        let mut t = NoopTracer;
-        assert!(!t.enabled());
-        t.record(0, TraceEvent::RoundBegin);
-        assert!(t.take_log().is_none());
-    }
-
-    #[test]
-    fn event_log_take_log_drains() {
-        let mut log = sample_log();
-        let taken = log.take_log().unwrap();
-        assert_eq!(taken.len(), 8);
-        assert!(log.is_empty());
     }
 
     #[test]

@@ -784,9 +784,9 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
 }
 
 /// The loop behind every transport run: steps `sim` until all nodes are
-/// [`Reliable::done`], calling `after_step` after each step with the
-/// logical-round frontier (the largest logical round any node has
-/// executed), and returns the final frontier.
+/// [`Reliable::done`], calling `after_step` after each step that leaves
+/// the run going with the logical-round frontier (the largest logical
+/// round any node has executed), and returns the final frontier.
 ///
 /// Only nodes not yet done are scanned. `done` is monotone, so a done
 /// node leaves the scan for good. A failed node still holds the frame it
@@ -823,7 +823,6 @@ pub(crate) fn drive<'a, L: NodeLogic>(
             }
         }
         pending.truncate(kept);
-        after_step(sim, frontier);
         // Global termination: every node knows (from received acks and
         // halting frames) that it needs nothing more from the network.
         // Transport nodes stay responsive rather than halting on their
@@ -831,14 +830,8 @@ pub(crate) fn drive<'a, L: NodeLogic>(
         if pending.is_empty() {
             break;
         }
-        if sim.round() >= max_rounds && !sim.is_quiescent() {
-            return Err(SimError::RoundLimitExceeded {
-                limit: max_rounds,
-                round: sim.round(),
-                still_running: sim.running_count(),
-                in_flight: sim.in_flight_messages(),
-            });
-        }
+        sim.check_round_limit(max_rounds)?;
+        after_step(sim, frontier);
     }
     Ok(frontier)
 }

@@ -10,8 +10,8 @@
 
 use ftclust_graphs::{generators, NodeId};
 use ftclust_netsim::transport::{Reliable, TransportConfig};
+use ftclust_netsim::Topology;
 use ftclust_netsim::{ChurnPlan, Context, Control, Envelope, NodeLogic, Payload, Simulator};
-use ftclust_netsim::{Metrics, Topology};
 use rand::Rng;
 
 #[derive(Clone, Debug, PartialEq)]
@@ -45,18 +45,16 @@ impl NodeLogic for Recorder {
 }
 
 /// The refined conservation law of a transport run, checked after every
-/// physical round as well as at the end.
-fn check_invariants(m: &Metrics, what: &str) {
-    assert!(
-        m.duplicates_suppressed <= m.delivered_messages,
-        "{what}: duplicates_suppressed {} exceeds delivered {}",
-        m.duplicates_suppressed,
-        m.delivered_messages
-    );
+/// physical round as well as at the end: the counters close against
+/// exactly the simulator's in-flight messages, and — tighter than that
+/// law, which also admits adversary-injected copies — only a
+/// retransmission can produce a duplicate.
+fn check_invariants<L: NodeLogic>(sim: &Simulator<'_, L>, what: &str) {
+    let m = sim.metrics();
     assert_eq!(
-        m.delivered_messages,
-        m.unique_delivered() + m.duplicates_suppressed,
-        "{what}: unique_delivered does not close the delivery split"
+        m.in_flight_residual(),
+        Ok(sim.in_flight_messages()),
+        "{what}: conservation law violated"
     );
     assert!(
         m.duplicates_suppressed <= m.retransmits,
@@ -91,14 +89,13 @@ fn unique_delivered_never_underflows_under_loss_and_churn() {
         let mut rounds = 0u64;
         while sim.step() {
             rounds += 1;
-            check_invariants(sim.metrics(), &format!("seed {seed} round {rounds}"));
+            check_invariants(&sim, &format!("seed {seed} round {rounds}"));
             if sim.logics().all(Reliable::done) || rounds > 3000 {
                 break;
             }
         }
-        let m = sim.metrics();
-        check_invariants(m, &format!("seed {seed} final"));
-        total_duplicates += m.duplicates_suppressed;
+        check_invariants(&sim, &format!("seed {seed} final"));
+        total_duplicates += sim.metrics().duplicates_suppressed;
     }
     assert!(
         total_duplicates > 0,

@@ -286,7 +286,7 @@ mod tests {
     use super::*;
 
     fn strs(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
+        parts.iter().map(ToString::to_string).collect()
     }
 
     #[test]

@@ -16,16 +16,18 @@
 
 use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
 use ftclust::core::fractional::FractionalParams;
+use ftclust::core::portfolio::{run_cgreedy_stack, run_dkm_stack, run_pb_stack};
 use ftclust::core::repair::{run_repair_stack, RepairConfig};
 use ftclust::core::rounding::protocol::run_rounding_stack;
 use ftclust::core::rounding::RoundingParams;
 use ftclust::core::udg::protocol::run_udg_stack;
 use ftclust::core::udg::UdgAlgorithm;
-use ftclust::core::Instance;
+use ftclust::core::{Instance, KmdsError};
 use ftclust::graphs::generators;
 use ftclust::netsim::exec::Stack;
 use ftclust::netsim::trace::{REGISTERED_SPANS, UNSPANNED};
-use ftclust::netsim::EventLog;
+use ftclust::netsim::transport::TransportConfig;
+use ftclust::netsim::{ChurnPlan, EventLog, SimError, TraceEvent};
 use ftclust_par::with_threads;
 
 /// Thread counts compared against the single-thread reference.
@@ -186,4 +188,90 @@ fn traced_runs_equal_untraced_runs() {
     assert!(log.is_some());
     assert_eq!(untraced.solution, traced.solution);
     assert_eq!(untraced.metrics, traced.metrics);
+}
+
+/// The `(name, arg)` of every span a log opens, in order.
+fn span_enters(log: &EventLog) -> Vec<(&'static str, Option<u64>)> {
+    log.records
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::SpanEnter { name, arg } => Some((name, arg)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One span cursor walks every plan on both executor paths, so each
+/// protocol opens the same spans synchronously, over the lossless
+/// transport and over the transport at 20% loss.
+#[test]
+fn span_sequences_are_path_independent() {
+    for &seed in SEEDS {
+        let udg = generators::random_udg(60, 8.0, 1.0, seed);
+        let g = udg.graph();
+        let inst = Instance::uniform_clamped(g, 2);
+        let params = FractionalParams::new(2);
+        let lp = run_fractional_protocol(&inst, &params)
+            .expect("lp")
+            .solution;
+        let config = UdgAlgorithm::new(2).seed(seed);
+        let base = config.run(&udg).expect("base").set;
+        let alive: Vec<bool> = (0..g.node_count()).map(|i| i % 4 != 0).collect();
+        let (rp, cfg) = (RoundingParams::default(), RepairConfig::new(seed));
+        let check = |what: &str, run: &dyn Fn(Stack) -> Option<EventLog>| {
+            let spans = |stack: Stack| span_enters(&run(stack.traced()).expect("traced log"));
+            let sync = spans(Stack::new());
+            assert!(!sync.is_empty(), "{what} seed={seed}: no spans recorded");
+            let lossless = spans(Stack::new().transport(TransportConfig::default()));
+            assert_eq!(sync, lossless, "{what} seed={seed}: lossless transport");
+            assert_eq!(
+                sync,
+                spans(Stack::new().lossy(0.2)),
+                "{what} seed={seed}: lossy"
+            );
+        };
+        check("fractional", &|s| {
+            run_fractional_stack(&inst, &params, s).unwrap().1
+        });
+        check("rounding", &|s| {
+            run_rounding_stack(&inst, &lp.x, lp.delta, seed, &rp, s)
+                .unwrap()
+                .1
+        });
+        check("udg", &|s| run_udg_stack(&udg, &config, s).unwrap().1);
+        check("repair", &|s| {
+            run_repair_stack(g, &base, &alive, 2, &cfg, s).unwrap().1
+        });
+        check("pb", &|s| run_pb_stack(&inst, s).unwrap().1);
+        check("dkm", &|s| run_dkm_stack(&inst, s).unwrap().1);
+        check("cgreedy", &|s| run_cgreedy_stack(&inst, s).unwrap().1);
+    }
+}
+
+/// Tracing is pure observation even when a run fails: a repair that
+/// random churn keeps alive past its round budget reports the same
+/// round-limit error traced and untraced.
+#[test]
+fn round_limit_errors_do_not_depend_on_tracing() {
+    let udg = generators::random_udg(150, 8.0, 1.0, 5);
+    let g = udg.graph();
+    let set = UdgAlgorithm::new(2).seed(5).run(&udg).expect("base").set;
+    let mut alive = vec![true; g.node_count()];
+    for v in set.ids().step_by(3) {
+        alive[v.index()] = false;
+    }
+    let cfg = RepairConfig::new(5);
+    let stack = Stack::new().churned(ChurnPlan::none().random_churn(0.02, 0.3));
+    let error = |stack: Stack| {
+        run_repair_stack(g, &set, &alive, 2, &cfg, stack)
+            .map(|_| ())
+            .expect_err("random churn outlives the round budget")
+    };
+    let untraced = error(stack.clone());
+    let round_limit = matches!(
+        untraced,
+        KmdsError::Sim(SimError::RoundLimitExceeded { .. })
+    );
+    assert!(round_limit, "{untraced:?}");
+    assert_eq!(untraced, error(stack.traced()));
 }

@@ -17,8 +17,8 @@
 //!    parallel regions,
 //! 5. CONGEST conformance ([`congest`]) — every protocol message charges
 //!    an `O(log n)`-bounded `bit_size`,
-//! 6. span-name registration ([`spans`]) — every trace span used by an
-//!    instrumented driver is a literal from `REGISTERED_SPANS`,
+//! 6. span-name registration ([`spans`]) — every span name in an
+//!    executor `Phase` plan is a literal from `REGISTERED_SPANS`,
 //! 7. waiver audit ([`waivers`]) — one `// lint: <rule> — <reason>`
 //!    grammar for every escape hatch; stale waivers are hard errors.
 //!

@@ -1,21 +1,22 @@
 //! Span-name registration checker for the structured trace layer.
 //!
 //! Phase attribution in `ftclust_netsim::trace` is name-based: the
-//! rollup and reconciliation machinery groups events by the `&'static
-//! str` passed to `Simulator::span_enter` / `span_exit`, and exporters
-//! surface those names verbatim. A misspelled or ad-hoc span name
-//! silently fragments the per-phase tables, so every name used at an
-//! instrumentation site must appear in the `REGISTERED_SPANS` registry
-//! in `crates/netsim/src/trace.rs`:
+//! rollup and reconciliation machinery groups events by span name, and
+//! exporters surface those names verbatim. Names are written in exactly
+//! one place — the first argument of the `Phase::{span, indexed, repeat,
+//! tail}` constructors that build an executor's span plan — so that is
+//! where they are checked. A misspelled or ad-hoc span name silently
+//! fragments the per-phase tables, so every name must appear in the
+//! `REGISTERED_SPANS` registry in `crates/netsim/src/trace.rs`:
 //!
 //! * **span-registry-missing** — the registry constant could not be
 //!   parsed out of the trace module (moved or renamed without updating
 //!   this checker).
-//! * **span-name-unregistered** — a `span_enter`/`span_exit` call passes
-//!   a string literal that is not in `REGISTERED_SPANS`.
-//! * **span-name-not-literal** — a call passes a computed name; the
-//!   checker (and readers) must be able to see the name at the call
-//!   site, so span names are literals by policy.
+//! * **span-name-unregistered** — a `Phase` constructor is passed a
+//!   string literal that is not in `REGISTERED_SPANS`.
+//! * **span-name-not-literal** — a constructor is passed a computed
+//!   name; the checker (and readers) must be able to see the name at the
+//!   call site, so span names are literals by policy.
 
 use crate::source::SourceFile;
 use crate::Violation;
@@ -23,8 +24,8 @@ use crate::Violation;
 /// The module holding the `REGISTERED_SPANS` registry.
 pub(crate) const TRACE_FILE: &str = "crates/netsim/src/trace.rs";
 
-/// Source trees scanned for `span_enter` / `span_exit` call sites: the
-/// simulator crate plus every instrumented protocol driver.
+/// Source trees scanned for `Phase` constructor calls: the simulator
+/// crate plus every protocol driver with a span plan.
 pub(crate) const SPAN_SCOPES: &[&str] = &[
     "crates/netsim/src",
     "crates/core/src/fractional/protocol.rs",
@@ -59,32 +60,31 @@ pub(crate) fn registry(file: &SourceFile) -> Option<Vec<String>> {
     }
 }
 
-/// True when the identifier match at `at` is a call site rather than a
-/// function definition or a longer identifier.
-fn is_call_site(scrubbed: &str, at: usize) -> bool {
-    let before = &scrubbed[..at];
-    if let Some(c) = before.chars().last() {
-        if c.is_alphanumeric() || c == '_' {
-            return false; // suffix of a longer identifier
-        }
-    }
-    // `fn span_enter(` / `fn span_exit(` — the definitions themselves.
-    !before.trim_end().ends_with("fn")
-}
+/// The `Phase` constructors whose first argument is a span name.
+const CONSTRUCTORS: &[&str] = &[
+    "Phase::span(",
+    "Phase::indexed(",
+    "Phase::repeat(",
+    "Phase::tail(",
+];
 
-/// Checks every `span_enter`/`span_exit` call in `file` against the
-/// registered names.
+/// Checks the span name of every `Phase` constructor call in `file`
+/// against the registered names.
 pub(crate) fn check(file: &SourceFile, registered: &[String], out: &mut Vec<Violation>) {
-    for needle in ["span_enter(", "span_exit("] {
+    for needle in CONSTRUCTORS {
         let mut from = 0;
         while let Some(pos) = file.scrubbed[from..].find(needle) {
             let at = from + pos;
             from = at + needle.len();
-            if !is_call_site(&file.scrubbed, at) {
+            // A suffix of a longer path segment (`MyPhase::span(`).
+            if file.scrubbed[..at]
+                .chars()
+                .last()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_')
+            {
                 continue;
             }
-            let arg_start = at + needle.len();
-            let arg = file.raw[arg_start..].trim_start();
+            let arg = file.raw[at + needle.len()..].trim_start();
             if let Some(rest) = arg.strip_prefix('"') {
                 let Some(end) = rest.find('"') else { continue };
                 let name = &rest[..end];
@@ -157,12 +157,16 @@ pub const REGISTERED_SPANS: &[&str] = &["dyndeg", "raise", "repair_iter"];
     fn registered_names_pass() {
         let v = run(
             r#"
-fn drive(sim: &mut Simulator) {
-    sim.span_enter("dyndeg", None);
-    sim.span_exit("dyndeg", None);
+fn plan(m: u64) -> Vec<Phase> {
+    vec![
+        Phase::span("dyndeg", 1),
+        Phase::indexed("raise", m, 1),
+        exec::Phase::repeat("repair_iter", 3),
+        Phase::tail( "dyndeg"),
+    ]
 }
 "#,
-            &["dyndeg"],
+            &["dyndeg", "raise", "repair_iter"],
         );
         assert!(v.is_empty(), "{v:?}");
     }
@@ -171,23 +175,24 @@ fn drive(sim: &mut Simulator) {
     fn unregistered_name_is_flagged_with_line() {
         let v = run(
             r#"
-fn drive(sim: &mut Simulator) {
-    sim.span_enter("dyndegg", None);
+fn plan() -> Vec<Phase> {
+    vec![Phase::span("dyndeg", 1),
+         Phase::repeat("dyndegg", 3)]
 }
 "#,
             &["dyndeg"],
         );
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "span-name-unregistered");
-        assert_eq!(v[0].line, 3);
+        assert_eq!(v[0].line, 4);
     }
 
     #[test]
     fn computed_name_is_flagged() {
         let v = run(
             r#"
-fn drive(sim: &mut Simulator, name: &'static str) {
-    sim.span_enter(name, None);
+fn plan(name: &'static str) -> Vec<Phase> {
+    vec![Phase::repeat(name, 3)]
 }
 "#,
             &["dyndeg"],
@@ -197,27 +202,17 @@ fn drive(sim: &mut Simulator, name: &'static str) {
     }
 
     #[test]
-    fn definitions_and_comments_are_ignored() {
+    fn definitions_comments_and_longer_identifiers_are_ignored() {
         let v = run(
             r#"
-impl Simulator {
-    /// Calls span_enter("bogus") conceptually.
-    pub fn span_enter(&mut self, name: &'static str, arg: Option<u64>) {}
-    pub fn span_exit(&mut self, name: &'static str, arg: Option<u64>) {}
+impl Phase {
+    /// Calls Phase::span("bogus", 1) conceptually.
+    pub fn span(name: &'static str, rounds: u64) -> Self { todo!() }
 }
-// sim.span_enter("also-bogus", None);
-"#,
-            &["dyndeg"],
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn longer_identifiers_do_not_match() {
-        let v = run(
-            r#"
-fn drive(x: &mut T) {
-    x.my_span_enter("bogus", None);
+// Phase::tail("also-bogus");
+fn plan(sim: &mut Simulator) {
+    MyPhase::span("bogus", 1);
+    sim.span_enter("bogus", None);
 }
 "#,
             &["dyndeg"],
