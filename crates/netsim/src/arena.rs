@@ -18,8 +18,24 @@
 //! delivered inbox slices are bit-for-bit identical at every
 //! `FTCLUST_THREADS`. All buffers are recycled across rounds; steady-state
 //! rounds allocate nothing beyond what message volume itself demands.
+//!
+//! **Broadcast lane.** A neighbourhood broadcast need not be staged and
+//! sorted as one envelope per link at all. On the simulator's fault-free
+//! untraced rounds, a node whose first output in a round is a broadcast
+//! leaves a single [`Slot`] in its shard's [`BroadcastLane`]; anything
+//! else it sends that round goes to the outbox as envelopes. When a
+//! round holds any slot, the merge files each payload in a dense
+//! per-sender table and [`InboxArena::gather`] builds the next round's
+//! arena in receiver order: each receiver walks its sorted adjacency
+//! list, cloning the payload of every neighbour that holds a slot, and
+//! merges in its unicast envelopes (already grouped by the sorter) by
+//! sender id, a slot ahead of its sender's envelopes.
+//! Within one receiver the sorted scatter orders envelopes by sender,
+//! then by push order, and a slot is its sender's first push — so the
+//! gathered inbox is the same sequence the scatter would have produced.
 
 use crate::Envelope;
+use ftclust_graphs::{Graph, NodeId};
 
 /// Recipients per partition block: 2¹³ = 8192 nodes, a 32 KiB counting
 /// array. See the [module docs](self) for why blocking matters.
@@ -67,10 +83,154 @@ impl<P> InboxArena<P> {
         u64::from(self.offsets.last().copied().unwrap_or(0))
     }
 
+    /// Audit of the order [`InboxArena::gather`] and the sorted scatter
+    /// promise on fault-free rounds: every inbox is non-decreasing in
+    /// sender id.
+    pub(crate) fn is_sender_ordered(&self) -> bool {
+        (0..self.offsets.len() - 1)
+            .all(|v| self.inbox(v).windows(2).all(|w| w[0].from <= w[1].from))
+    }
+
     /// Retained envelope capacity (white-box recycling tests).
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
         self.arena.capacity()
+    }
+}
+
+impl<P: Clone> InboxArena<P> {
+    /// Rebuilds this arena in receiver order from two sources: the lane
+    /// payloads in `table` (`table[u]` is `Some` iff sender `u` holds a
+    /// slot this round, delivered to each of its neighbours; `reach`
+    /// such envelopes in all) and the unicast envelopes grouped in
+    /// `unicast`, which is drained.
+    ///
+    /// Each receiver's slots and unicast envelopes are merged by sender
+    /// id, a slot ahead of its sender's envelopes (it was that sender's
+    /// first output), reproducing the order the sorted scatter gives the
+    /// same messages sent as envelopes (see the [module docs](self)).
+    pub(crate) fn gather(
+        &mut self,
+        graph: &Graph,
+        table: &[Option<P>],
+        reach: usize,
+        unicast: &mut Self,
+    ) {
+        let n = self.offsets.len() - 1;
+        debug_assert_eq!(graph.node_count(), n);
+        self.arena.clear();
+        self.arena.reserve(reach + unicast.arena.len());
+        let mut uni = unicast.arena.drain(..).peekable();
+        for v in 0..n {
+            self.offsets[v] = self.arena.len() as u32;
+            let to = NodeId::new(v as u32);
+            let lane = graph
+                .neighbors(to)
+                .iter()
+                .filter_map(|&u| table[u.index()].as_ref().map(|p| (u, p)));
+            if unicast.offsets[v] == unicast.offsets[v + 1] {
+                // No unicast to merge: the common case, kept branch-light.
+                for (from, payload) in lane {
+                    self.arena.push(Envelope {
+                        from,
+                        to,
+                        payload: payload.clone(),
+                    });
+                }
+                continue;
+            }
+            for (from, payload) in lane {
+                while let Some(env) = uni.next_if(|e| e.to == to && e.from < from) {
+                    self.arena.push(env);
+                }
+                self.arena.push(Envelope {
+                    from,
+                    to,
+                    payload: payload.clone(),
+                });
+            }
+            while let Some(env) = uni.next_if(|e| e.to == to) {
+                self.arena.push(env);
+            }
+        }
+        debug_assert!(
+            uni.next().is_none(),
+            "unicast envelope beyond the last receiver"
+        );
+        assert!(
+            self.arena.len() <= u32::MAX as usize,
+            "one round's message volume overflows the u32 inbox offset table"
+        );
+        self.offsets[n] = self.arena.len() as u32;
+        unicast.offsets.fill(0);
+    }
+}
+
+/// One [`Context::broadcast`](crate::Context::broadcast) held whole in a
+/// [`BroadcastLane`]: the sender and the payload.
+#[derive(Debug)]
+pub(crate) struct Slot<P> {
+    pub(crate) from: NodeId,
+    /// The sender's degree: the number of envelopes the slot stands for.
+    pub(crate) degree: u32,
+    pub(crate) payload: P,
+}
+
+/// A worker shard's broadcast slots for one round, in node order.
+///
+/// A slot is always its sender's first output of the round: the
+/// simulator's `Context` records one only for a broadcast that nothing
+/// of the same node precedes, so each node holds at most one.
+#[derive(Debug)]
+pub(crate) struct BroadcastLane<P> {
+    slots: Vec<Slot<P>>,
+    /// Envelopes the slots stand for: the sum of their senders' degrees.
+    reach: u64,
+}
+
+impl<P> BroadcastLane<P> {
+    pub(crate) fn new() -> Self {
+        BroadcastLane {
+            slots: Vec::new(),
+            reach: 0,
+        }
+    }
+
+    /// Records `from`'s broadcast to its `degree` neighbours.
+    #[inline]
+    pub(crate) fn record(&mut self, from: NodeId, degree: usize, payload: P) {
+        debug_assert!(degree > 0, "a degree-0 broadcast sends nothing");
+        self.slots.push(Slot {
+            from,
+            degree: degree as u32,
+            payload,
+        });
+        self.reach += degree as u64;
+    }
+
+    /// Whether `me` holds a slot. Slots are recorded in node order, so
+    /// only the last one can be `me`'s.
+    #[inline]
+    pub(crate) fn holds(&self, me: NodeId) -> bool {
+        self.slots.last().is_some_and(|s| s.from == me)
+    }
+
+    /// Envelopes the held slots stand for.
+    pub(crate) fn reach(&self) -> u64 {
+        self.reach
+    }
+
+    /// Empties the lane, handing out its slots in node order (the
+    /// buffer keeps its capacity).
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, Slot<P>> {
+        self.reach = 0;
+        self.slots.drain(..)
+    }
+
+    /// Retained slot capacity (white-box recycling tests).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.capacity()
     }
 }
 

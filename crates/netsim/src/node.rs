@@ -1,3 +1,4 @@
+use crate::arena::BroadcastLane;
 use crate::metrics::TransportCounters;
 use crate::trace::TraceEvent;
 use crate::{Envelope, Payload, Topology};
@@ -64,6 +65,10 @@ pub struct Context<'a, P> {
     /// buffers in shard index order on the sequential merge path, so
     /// recorded traces are independent of the worker count.
     pub(crate) trace: &'a mut Vec<TraceEvent>,
+    /// This worker shard's broadcast lane, on simulator rounds without
+    /// tracing or per-envelope fault decisions; `None` everywhere else,
+    /// including every context the transport and the synchronizer build.
+    pub(crate) lane: Option<&'a mut BroadcastLane<P>>,
 }
 
 impl<'a, P: Payload> Context<'a, P> {
@@ -167,8 +172,26 @@ impl<'a, P: Payload> Context<'a, P> {
     }
 
     /// Sends a copy of `payload` to every neighbor.
+    ///
+    /// Where the simulator can deliver it without per-link decisions (no
+    /// tracing, loss, link outages or adversary), a broadcast that is the
+    /// node's first output this round is held as one lane slot and the
+    /// payload is cloned per receiver at delivery. Every later output of
+    /// the node travels as ordinary envelopes, and delivery puts each
+    /// receiver's copy of the slot ahead of them, so every receiver sees
+    /// the same messages in the same order either way.
     pub fn broadcast(&mut self, payload: P) {
         let neighbors = self.neighbors();
+        if let Some(lane) = self.lane.as_deref_mut() {
+            // A degree-0 broadcast sends nothing and needs no slot.
+            if !neighbors.is_empty()
+                && !lane.holds(self.me)
+                && self.outbox.last().is_none_or(|e| e.from != self.me)
+            {
+                lane.record(self.me, neighbors.len(), payload);
+                return;
+            }
+        }
         self.outbox.reserve(neighbors.len());
         for &v in neighbors {
             self.outbox.push(Envelope {
@@ -210,6 +233,7 @@ mod tests {
             transport,
             tracing: false,
             trace,
+            lane: None,
         }
     }
 
@@ -253,6 +277,31 @@ mod tests {
         let mut tos: Vec<u32> = outbox.iter().map(|e| e.to.raw()).collect();
         tos.sort_unstable();
         assert_eq!(tos, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn only_a_first_output_broadcast_takes_the_lane() {
+        let g = generators::star(4);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut outbox = Vec::new();
+        let mut tc = TransportCounters::default();
+        let mut tr = Vec::new();
+        let mut lane = BroadcastLane::new();
+        let mut ctx = ctx_fixture(
+            Topology::from_graph(&g),
+            &mut rng,
+            &mut outbox,
+            &mut tc,
+            &mut tr,
+        );
+        ctx.lane = Some(&mut lane);
+        ctx.broadcast(Ping);
+        assert!(ctx.outbox.is_empty(), "the first broadcast is one slot");
+        ctx.send(NodeId::new(1), Ping);
+        ctx.broadcast(Ping);
+        assert_eq!(ctx.outbox.len(), 1 + 3, "later outputs are envelopes");
+        assert!(lane.holds(NodeId::new(0)));
+        assert_eq!(lane.reach(), 3);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::adversary::{AdversaryPlan, AdversaryState, Verdict};
-use crate::arena::{DeliverySorter, InboxArena};
+use crate::arena::{BroadcastLane, DeliverySorter, InboxArena};
 use crate::metrics::TransportCounters;
 use crate::node::Context;
 use crate::trace::{EventLog, TraceEvent};
@@ -40,6 +40,9 @@ struct StepShard<'t, L: NodeLogic> {
     rngs: &'t mut [StdRng],
     running: &'t mut [bool],
     outbox: &'t mut Vec<Envelope<L::Payload>>,
+    /// The broadcast slots this shard's nodes record instead of outbox
+    /// envelopes, in node order (used only on fast-path rounds).
+    lane: &'t mut BroadcastLane<L::Payload>,
     /// Transport events noted by this shard's nodes; folded into
     /// [`Metrics`] sequentially after the parallel phase (sums are
     /// commutative, so the fold order cannot perturb determinism).
@@ -92,10 +95,17 @@ struct StepShard<'t, L: NodeLogic> {
 /// arena indexed by a CSR-style offset table (the `arena` module):
 /// the merge phase counting-sorts each round's surviving envelopes by
 /// recipient instead of pushing into per-node `Vec`s, and delivery is
-/// pure slicing. All buffers — the two arenas, the sorter's partition
-/// blocks, and the per-worker outboxes — are recycled across rounds, so
-/// steady-state rounds allocate nothing beyond what message volume
-/// itself demands. See `DESIGN.md` §12.
+/// pure slicing. On rounds without tracing or per-envelope fault
+/// decisions, a node whose first output is a [`Context::broadcast`]
+/// leaves a single slot in its shard's broadcast lane instead of one
+/// envelope per neighbor; a round holding any slot is delivered by a
+/// gather in receiver order that merges a per-sender payload table with
+/// the sorted unicast envelopes, producing the same inboxes. All
+/// buffers — the two arenas, the sorter's partition blocks and its
+/// unicast arena, the per-worker outboxes and lanes, and the payload
+/// table — are recycled across rounds, so steady-state rounds allocate
+/// nothing beyond what message volume itself demands. See `DESIGN.md`
+/// §12.
 pub struct Simulator<'a, L: NodeLogic> {
     topo: Topology<'a>,
     /// Per-node protocol state, indexed by node id (struct-of-arrays
@@ -119,6 +129,15 @@ pub struct Simulator<'a, L: NodeLogic> {
     sorter: DeliverySorter<L::Payload>,
     /// Recycled per-worker outbox buffers.
     outboxes: Vec<Vec<Envelope<L::Payload>>>,
+    /// Recycled per-worker broadcast lanes.
+    lanes: Vec<BroadcastLane<L::Payload>>,
+    /// Dense per-sender payload table of a gathered round: `Some` for
+    /// the senders holding a lane slot, all `None` between rounds.
+    /// Sized `n` on the first gather.
+    lane_table: Vec<Option<L::Payload>>,
+    /// The unicast envelopes of a gathered round, grouped by recipient
+    /// ahead of the gather that drains them.
+    unicast: InboxArena<L::Payload>,
     /// Recycled per-worker transport counters (cleared each round).
     tcounters: Vec<TransportCounters>,
     /// Recycled per-worker trace event buffers (drained each round).
@@ -193,6 +212,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             pending: InboxArena::new(n),
             sorter: DeliverySorter::new(n),
             outboxes: Vec::new(),
+            lanes: Vec::new(),
+            lane_table: Vec::new(),
+            unicast: InboxArena::new(n),
             tcounters: Vec::new(),
             tbufs: Vec::new(),
             log: None,
@@ -362,15 +384,19 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// whole accounting collapses to one addition); (1) node logic
     /// executes on worker threads over contiguous node shards, reading
     /// inbox slices straight out of the shared arena and appending
-    /// envelopes to its own recycled outbox in node order; (2) a
-    /// sequential merge walks the shard outboxes in node order — on the
-    /// fault-free untraced fast path it batch-meters the envelopes and
-    /// stages them for the sorted scatter; with tracing, loss or outages
-    /// it meters, traces and draws the shared fault stream per envelope,
+    /// envelopes to its own recycled outbox in node order (on the fast
+    /// path below, a broadcast that is its node's first output records a
+    /// single lane slot instead); (2) a sequential merge walks the shard
+    /// outboxes and lanes in node order — on the fault-free untraced fast
+    /// path it batch-meters them (a slot as `degree` copies) and stages
+    /// them for delivery; with tracing, loss, outages or an adversary it
+    /// meters, traces and draws the shared fault stream per envelope,
     /// exactly in the order the serial engine used, so every thread count
     /// yields identical state — and (3) the staged survivors are
-    /// counting-sorted into the next round's contiguous inbox arena and
-    /// the quiescence cache is refreshed.
+    /// counting-sorted into the next round's contiguous inbox arena, or,
+    /// when the lane holds any slot, the sorted unicast envelopes and the
+    /// lane's payloads are gathered into it in receiver order; then the
+    /// quiescence cache is refreshed.
     pub fn step(&mut self) -> bool {
         if self.quiescent {
             return false;
@@ -380,6 +406,12 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         // Hoisted once per round for the fast-path decisions below; an
         // untraced run constructs no events.
         let tracing = self.log.is_some();
+        // Fast path: no tracing and no per-envelope fault decisions, so
+        // broadcasts may travel as lane slots and metering is batched.
+        let fast = !tracing
+            && self.churn.drop_prob() == 0.0
+            && !self.churn.has_link_outages()
+            && self.adversary.is_none();
         let (msgs_before, bits_before) = (self.metrics.messages, self.metrics.total_bits);
         if let Some(log) = &mut self.log {
             log.record(round, TraceEvent::RoundBegin);
@@ -440,6 +472,10 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         if self.tbufs.len() < shard_ranges.len() {
             self.tbufs.resize_with(shard_ranges.len(), Vec::new);
         }
+        if self.lanes.len() < shard_ranges.len() {
+            self.lanes
+                .resize_with(shard_ranges.len(), BroadcastLane::new);
+        }
         let shard_count = shard_ranges.len();
         {
             // Phase 1: execute node logic, sharded. Shared state is
@@ -453,9 +489,10 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             let mut logics_rest: &mut [L] = &mut self.logics;
             let mut rngs_rest: &mut [StdRng] = &mut self.rngs;
             let mut running_rest: &mut [bool] = &mut self.running;
-            for (((r, outbox), counters), tbuf) in shard_ranges
+            for ((((r, outbox), lane), counters), tbuf) in shard_ranges
                 .iter()
                 .zip(self.outboxes.iter_mut())
+                .zip(self.lanes.iter_mut())
                 .zip(self.tcounters.iter_mut())
                 .zip(self.tbufs.iter_mut())
             {
@@ -472,6 +509,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     rngs: rngs_head,
                     running: running_head,
                     outbox,
+                    lane,
                     counters,
                     trace: tbuf,
                     halted: 0,
@@ -496,6 +534,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                         transport: shard.counters,
                         tracing,
                         trace: shard.trace,
+                        lane: if fast { Some(&mut *shard.lane) } else { None },
                     };
                     let control = shard.logics[j].on_round(inbox.inbox(i), &mut ctx);
                     if control == Control::Halt {
@@ -534,25 +573,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 self.sorter.push(env);
             }
         }
-        if !tracing
-            && self.churn.drop_prob() == 0.0
-            && !self.churn.has_link_outages()
-            && self.adversary.is_none()
-        {
-            // Fast path: no tracing and no per-envelope fault decisions —
-            // meter the batch with three integer folds (identical totals
-            // to per-envelope metering) and stage everything.
-            let (mut count, mut bits, mut max_bits) = (0u64, 0u64, 0u64);
-            for outbox in &mut self.outboxes[..shard_count] {
-                for env in outbox.drain(..) {
-                    let b = crate::Payload::bit_size(&env.payload) as u64;
-                    count += 1;
-                    bits += b;
-                    max_bits = max_bits.max(b);
-                    self.sorter.push(env);
-                }
-            }
-            self.metrics.record_sends(count, bits, max_bits);
+        if fast {
+            self.merge_fast(shard_count);
         } else {
             for outbox in &mut self.outboxes[..shard_count] {
                 for env in outbox.drain(..) {
@@ -651,8 +673,11 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             }
         }
         // Phase 3: counting-sort the staged survivors by recipient into
-        // the next round's contiguous arena and refresh caches.
-        self.sorter.finish(n, &mut self.pending);
+        // the next round's contiguous arena (unless the fast merge
+        // already gathered it) and refresh caches.
+        if !fast {
+            self.sorter.finish(n, &mut self.pending);
+        }
         if let Some(log) = &mut self.log {
             log.record(
                 round,
@@ -665,6 +690,69 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         self.round += 1;
         self.quiescent = self.compute_quiescent();
         true
+    }
+
+    /// The fast-path merge (phases 2 and 3 of [`Simulator::step`]):
+    /// meters the shard outboxes and lanes in node order with three
+    /// integer folds — a slot counts as `degree` copies of its payload,
+    /// the same totals as metering each envelope — and builds the next
+    /// round's inbox arena. When any slot is held, its payload is filed
+    /// in the per-sender table and gathered in receiver order together
+    /// with the sorted unicast envelopes, the order per-envelope staging
+    /// gives; otherwise the envelopes are counting-sorted as before.
+    fn merge_fast(&mut self, shard_count: usize) {
+        let n = self.logics.len();
+        let graph = self.topo.graph();
+        let reach: u64 = self.lanes[..shard_count]
+            .iter()
+            .map(BroadcastLane::reach)
+            .sum();
+        let gather = reach > 0;
+        if gather && self.lane_table.len() < n {
+            self.lane_table.resize_with(n, || None);
+        }
+        let (mut count, mut bits, mut max_bits) = (0u64, 0u64, 0u64);
+        let mut meter = |b: usize, copies: u64| {
+            count += copies;
+            bits += copies * b as u64;
+            max_bits = max_bits.max(b as u64);
+        };
+        for (outbox, lane) in self.outboxes[..shard_count]
+            .iter_mut()
+            .zip(&mut self.lanes[..shard_count])
+        {
+            for slot in lane.drain() {
+                meter(
+                    crate::Payload::bit_size(&slot.payload),
+                    u64::from(slot.degree),
+                );
+                self.lane_table[slot.from.index()] = Some(slot.payload);
+            }
+            for env in outbox.drain(..) {
+                meter(crate::Payload::bit_size(&env.payload), 1);
+                self.sorter.push(env);
+            }
+        }
+        self.metrics.record_sends(count, bits, max_bits);
+        if gather {
+            self.sorter.finish(n, &mut self.unicast);
+            self.pending
+                .gather(graph, &self.lane_table, reach as usize, &mut self.unicast);
+            self.lane_table.fill(None);
+        } else {
+            self.sorter.finish(n, &mut self.pending);
+        }
+        // Audits: nothing is lost on the fast path, so the arena holds
+        // exactly the round's metered sends, each inbox in sender order.
+        debug_assert_eq!(
+            self.pending.total(),
+            count,
+            "fast-path delivery lost or invented messages"
+        );
+        debug_assert!(
+            self.pending.is_sender_ordered(),
+            "fast-path inbox out of sender order"
+        );
     }
 
     /// Runs rounds until quiescence.
@@ -1070,25 +1158,60 @@ mod tests {
 
     #[test]
     fn buffers_are_recycled_across_rounds() {
-        // White-box: after a run the double-buffered inbox arenas exist
-        // with their capacity retained (a complete-graph broadcast filled
-        // the arena every round), and nothing is left staged or in
-        // flight — the halting round sends no messages.
+        // White-box: on a complete graph two nodes in three broadcast and
+        // the third unicasts, the same every round, so each round is
+        // gathered with unicast envelopes to merge. After warm-up no
+        // arena, lane or payload table reallocates; after the run nothing
+        // is left staged, held or in flight — the halting round sends no
+        // messages.
         let g = generators::complete(6);
-        let topo = Topology::from_graph(&g);
         let mut sim = Simulator::new(
-            topo,
-            |_| Gossip {
-                heard: vec![],
-                rounds: 4,
+            Topology::from_graph(&g),
+            |v| {
+                Scripted::new(
+                    6,
+                    if v.raw() % 3 == 0 {
+                        &[Act::SendFirst]
+                    } else {
+                        &[Act::Broadcast]
+                    },
+                )
             },
             0,
         );
+        for _ in 0..3 {
+            sim.step();
+        }
+        let capacities = |sim: &Simulator<'_, Scripted>| {
+            (
+                sim.inbox.capacity(),
+                sim.pending.capacity(),
+                sim.unicast.capacity(),
+                sim.lanes
+                    .iter()
+                    .map(BroadcastLane::capacity)
+                    .collect::<Vec<_>>(),
+                sim.lane_table.capacity(),
+            )
+        };
+        let warm = capacities(&sim);
+        assert!(warm.0 > 0 && warm.1 > 0 && warm.2 > 0, "{warm:?}");
+        assert!(warm.3.iter().any(|&c| c > 0), "{warm:?}");
+        assert_eq!(
+            sim.lane_table.len(),
+            6,
+            "a round holding slots must be gathered"
+        );
+        for _ in 0..2 {
+            sim.step();
+            assert_eq!(capacities(&sim), warm, "steady state must not reallocate");
+        }
         sim.run(100).unwrap();
         assert_eq!(sim.pending.total(), 0);
+        assert_eq!(sim.unicast.total(), 0);
         assert_eq!(sim.in_flight_messages(), 0);
-        // Capacity was retained in at least one of the two arenas.
-        assert!(sim.inbox.capacity() > 0 || sim.pending.capacity() > 0);
+        assert!(sim.lanes.iter().all(|l| l.reach() == 0));
+        assert!(sim.lane_table.iter().all(Option::is_none));
         // The SoA node state stayed aligned.
         assert_eq!(sim.logics.len(), 6);
         assert_eq!(sim.rngs.len(), 6);
@@ -1403,6 +1526,210 @@ mod tests {
         assert!(m.per_round_resolution() > 1);
         assert_eq!(m.per_round_messages.iter().sum::<u64>(), m.messages);
         assert_eq!(m.per_round_bits.iter().sum::<u64>(), m.total_bits);
+    }
+
+    /// A test payload whose wire size is part of its value.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Sized {
+        tag: u64,
+        bits: usize,
+    }
+    impl Payload for Sized {
+        fn bit_size(&self) -> usize {
+            self.bits
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Act {
+        Broadcast,
+        /// A unicast to the node's lowest-id neighbor (if any).
+        SendFirst,
+        SendSelf,
+        /// A broadcast of a 999-bit payload.
+        BroadcastWide,
+    }
+
+    /// Performs a fixed list of outputs every round until `rounds`, and
+    /// logs every delivered message as `(round, from, tag)`.
+    struct Scripted {
+        acts: &'static [Act],
+        rounds: u64,
+        heard: Vec<(u64, u32, u64)>,
+    }
+    impl Scripted {
+        fn new(rounds: u64, acts: &'static [Act]) -> Self {
+            Scripted {
+                acts,
+                rounds,
+                heard: Vec::new(),
+            }
+        }
+    }
+    impl NodeLogic for Scripted {
+        type Payload = Sized;
+        fn on_round(&mut self, inbox: &[Envelope<Sized>], ctx: &mut Context<'_, Sized>) -> Control {
+            for e in inbox {
+                self.heard.push((ctx.round(), e.from.raw(), e.payload.tag));
+            }
+            if ctx.round() >= self.rounds {
+                return Control::Halt;
+            }
+            for (k, act) in self.acts.iter().enumerate() {
+                let tag = (u64::from(ctx.me().raw()) << 16) | (ctx.round() << 4) | k as u64;
+                let msg = Sized { tag, bits: 8 };
+                match act {
+                    Act::Broadcast => ctx.broadcast(msg),
+                    Act::SendFirst => {
+                        if let Some(&v) = ctx.neighbors().first() {
+                            ctx.send(v, msg);
+                        }
+                    }
+                    Act::SendSelf => ctx.send(ctx.me(), msg),
+                    Act::BroadcastWide => ctx.broadcast(Sized { tag, bits: 999 }),
+                }
+            }
+            Control::Continue
+        }
+    }
+
+    /// What a lane differential run observes: every node's delivery log,
+    /// the metrics, and whether any round was gathered.
+    type LaneObservation = (Vec<Vec<(u64, u32, u64)>>, Metrics, bool);
+
+    /// Runs `script` on `g` under `churn` with the broadcast lane (an
+    /// untraced run) at 1, 2 and 7 workers, and checks each run against
+    /// a traced run, which keeps every broadcast on the envelope path.
+    /// Returns the lane run's observation.
+    fn lane_matches_envelopes(
+        g: &ftclust_graphs::Graph,
+        churn: &ChurnPlan,
+        script: fn(NodeId) -> &'static [Act],
+    ) -> LaneObservation {
+        let run = |threads: usize, traced: bool| -> LaneObservation {
+            ftclust_par::with_threads(threads, || {
+                let mut sim = Simulator::with_churn(
+                    Topology::from_graph(g),
+                    |v| Scripted::new(5, script(v)),
+                    3,
+                    churn.clone(),
+                );
+                if traced {
+                    sim.start_trace();
+                }
+                sim.run(100).unwrap();
+                assert_eq!(sim.metrics().in_flight_residual(), Ok(0));
+                let heard = sim.logics().map(|l| l.heard.clone()).collect();
+                (heard, sim.metrics().clone(), !sim.lane_table.is_empty())
+            })
+        };
+        let (heard, metrics, gathered) = run(1, true);
+        assert!(!gathered, "a traced run must not use the lane");
+        let lane = run(1, false);
+        assert_eq!(
+            lane.0, heard,
+            "lane inboxes diverged from the envelope path"
+        );
+        assert_eq!(
+            lane.1, metrics,
+            "lane metrics diverged from the envelope path"
+        );
+        for threads in [2usize, 7] {
+            assert_eq!(run(threads, false), lane, "diverged at {threads} threads");
+        }
+        lane
+    }
+
+    #[test]
+    fn lane_broadcast_then_send_matches_envelopes() {
+        let g = generators::gnp(40, 0.2, 11);
+        let (_, _, gathered) =
+            lane_matches_envelopes(&g, &ChurnPlan::none(), |v| match v.raw() % 3 {
+                0 => &[Act::Broadcast, Act::SendFirst],
+                _ => &[Act::Broadcast],
+            });
+        assert!(gathered);
+    }
+
+    #[test]
+    fn lane_send_then_broadcast_matches_envelopes() {
+        let g = generators::gnp(40, 0.2, 12);
+        let (_, _, gathered) =
+            lane_matches_envelopes(&g, &ChurnPlan::none(), |v| match v.raw() % 3 {
+                0 => &[Act::SendFirst, Act::Broadcast],
+                _ => &[Act::Broadcast],
+            });
+        assert!(gathered);
+    }
+
+    #[test]
+    fn lane_two_broadcasts_in_one_round_match_envelopes() {
+        let g = generators::gnp(40, 0.2, 13);
+        let (_, _, gathered) =
+            lane_matches_envelopes(&g, &ChurnPlan::none(), |v| match v.raw() % 4 {
+                0 => &[Act::Broadcast, Act::Broadcast],
+                1 => &[Act::Broadcast, Act::Broadcast, Act::SendFirst],
+                _ => &[Act::Broadcast],
+            });
+        assert!(gathered);
+    }
+
+    #[test]
+    fn lane_self_send_plus_broadcast_matches_envelopes() {
+        let g = generators::gnp(40, 0.2, 14);
+        let (_, _, gathered) =
+            lane_matches_envelopes(&g, &ChurnPlan::none(), |v| match v.raw() % 4 {
+                0 => &[Act::SendSelf, Act::Broadcast],
+                1 => &[Act::Broadcast, Act::SendSelf],
+                _ => &[Act::Broadcast],
+            });
+        assert!(gathered);
+    }
+
+    #[test]
+    fn lane_sparse_broadcasters_match_envelopes() {
+        // Two broadcasters among unicast senders (one also unicasts
+        // after its slot): most receivers merge no slot at all, the
+        // others merge one or two with their unicast runs.
+        let g = generators::gnp(40, 0.2, 15);
+        let (_, _, gathered) = lane_matches_envelopes(&g, &ChurnPlan::none(), |v| match v.raw() {
+            3 => &[Act::Broadcast, Act::SendFirst, Act::SendSelf],
+            17 => &[Act::Broadcast],
+            r if r % 2 == 1 => &[Act::SendFirst, Act::SendSelf],
+            _ => &[],
+        });
+        assert!(gathered);
+    }
+
+    #[test]
+    fn isolated_broadcaster_sends_nothing_on_the_lane() {
+        // Node 5 is isolated: its wide broadcast reaches no one, so it
+        // must not move `max_message_bits` (or any other counter).
+        let g = ftclust_graphs::Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
+        let (_, m, gathered) = lane_matches_envelopes(&g, &ChurnPlan::none(), |v| match v.raw() {
+            5 => &[Act::BroadcastWide],
+            _ => &[Act::Broadcast],
+        });
+        assert!(gathered);
+        assert_eq!(m.max_message_bits, 8);
+        assert_eq!(m.messages, 5 * 8);
+    }
+
+    #[test]
+    fn lane_crash_and_recovery_match_envelopes() {
+        // Dead-on-arrival accounting reads the gathered arena exactly as
+        // it read the sorted one.
+        let g = generators::gnp(40, 0.2, 16);
+        let churn = ChurnPlan::none()
+            .crash(NodeId::new(3), 1)
+            .recover(NodeId::new(3), 3)
+            .crash(NodeId::new(8), 2);
+        let (_, m, gathered) = lane_matches_envelopes(&g, &churn, |v| match v.raw() % 3 {
+            0 => &[Act::Broadcast, Act::SendFirst],
+            _ => &[Act::Broadcast],
+        });
+        assert!(gathered);
+        assert!(m.dead_on_arrival > 0);
     }
 
     proptest! {

@@ -239,6 +239,7 @@ impl<'a, L: NodeLogic> AsyncExec<'a, L> {
                 transport: &mut transport,
                 tracing: false,
                 trace: &mut trace_buf,
+                lane: None,
             };
             let control = node.logic.on_round(&inbox, &mut ctx);
             let halting = control == Control::Halt;

@@ -664,6 +664,7 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                 transport: &mut *ctx.transport,
                 tracing: ctx.tracing,
                 trace: &mut *ctx.trace,
+                lane: None,
             };
             let control = self.inner.on_round(&inner_inbox, &mut inner_ctx);
             self.inner_halted = control == Control::Halt;
